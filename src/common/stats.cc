@@ -73,6 +73,13 @@ double Median(std::vector<double> values) {
   return Quantile(std::move(values), 0.5);
 }
 
+double QuantileOrZero(std::vector<double> values, double q) {
+  if (values.empty() && !std::isnan(q)) {
+    return 0.0;
+  }
+  return Quantile(std::move(values), q);
+}
+
 double AbsoluteRelativeError(double predicted, double observed) {
   if (observed == 0.0) {
     return std::abs(predicted);

@@ -47,6 +47,10 @@ double Quantile(std::vector<double> values, double q);
 // Median shorthand.
 double Median(std::vector<double> values);
 
+// Quantile that reports 0.0 for an empty sample instead of throwing; a NaN
+// q still throws. The engines' response-time percentiles use it.
+double QuantileOrZero(std::vector<double> values, double q);
+
 // Absolute relative error |predicted - observed| / observed.
 // Returns |predicted| when observed == 0.
 double AbsoluteRelativeError(double predicted, double observed);

@@ -1,5 +1,5 @@
-// Shared discrete-event queue for the three event engines (queue
-// simulator, multi-class simulator, ground-truth testbed).
+// Shared discrete-event queue for the event engines (the queue simulator
+// and the ground-truth testbed, both driven by src/core/serve_loop.h).
 //
 // This replaces the per-engine `std::priority_queue<Event>` heaps with a
 // two-mode structure:

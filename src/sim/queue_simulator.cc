@@ -5,48 +5,132 @@
 #include <stdexcept>
 
 #include "src/common/thread_pool.h"
-#include "src/core/event_queue.h"
-#include "src/core/run_arena.h"
-#include "src/obs/obs.h"
-#include "src/obs/slo.h"
+#include "src/core/serve_loop.h"
 
 namespace msprint {
 
-double SimResult::MedianResponseTime() const {
-  return Median(response_times);
-}
+double SimResult::MedianResponseTime() const { return Median(response_times); }
 
 double SimResult::PercentileResponseTime(double q) const {
-  if (std::isnan(q)) {
-    throw std::invalid_argument(
-        "PercentileResponseTime: quantile fraction must not be NaN");
-  }
-  if (response_times.empty()) {
-    return 0.0;
-  }
-  return Quantile(response_times, std::clamp(q, 0.0, 1.0));
+  return QuantileOrZero(response_times, q);
 }
 
 namespace {
 
-constexpr double kBudgetEpsilon = 1e-9;
+// Equation 1's service model: a sprint finishes the remaining work
+// `speedup` times faster, with no phases, toggle cost or interference.
+class SimServer : public ServeLoop<SimServer> {
+ public:
+  SimServer(const SimConfig& config, size_t n)
+      : ServeLoop(Params(config, n)),
+        speedup_(config.sprint_speedup),
+        service_(arena_.AllocateUninit<double>(n)) {
+    // Pre-generate arrivals and service times, as Algorithm 1 does ("these
+    // properties are set before simulation begins"). Batched refills
+    // amortize the generator state updates without changing a single draw.
+    Rng rng(config.seed);
+    rng.EnableBatchedDraws();
+    const std::vector<double>* trace = config.arrival_trace;
+    const auto interarrival =
+        trace != nullptr
+            ? nullptr
+            : MakeDistribution(config.arrival_kind,
+                               1.0 / config.arrival_rate_per_second);
+    double t = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      if (trace == nullptr) {
+        t += interarrival->Sample(rng);
+      } else if (i > 0 && (*trace)[i] < (*trace)[i - 1]) {
+        throw std::invalid_argument("arrival trace must be ascending");
+      } else {
+        t = (*trace)[i];
+      }
+      arrival_[i] = t;
+      service_[i] = std::max(1e-9, config.service->Sample(rng)) *
+                    config.service_time_scale;
+    }
+  }
 
-enum class EventType : uint32_t { kArrival, kDeparture, kTimeout };
+  double BeginService(size_t q, double, size_t) const { return service_[q]; }
 
-// Struct-of-arrays query state, carved out of the per-run arena. The hot
-// loop touches only the columns an event actually needs, instead of
-// dragging a whole SimQuery record through the cache per access.
-struct QueryColumns {
-  double* arrival;
-  double* service_time;
-  double* start;
-  double* depart;
-  double* sprint_begin;
-  double* sprint_seconds;
-  uint64_t* stamps;
-  uint8_t* timed_out;
-  uint8_t* sprinted;
-  uint8_t* shed;
+  double EngageSprint(size_t q, double now, SprintStart from) const {
+    // A sprint at dispatch covers the whole execution (the marginal-rate
+    // case of Section 2); at the interrupt, only the remaining work.
+    return (from == SprintStart::kTimeout ? depart_[q] - now : service_[q]) /
+           speedup_;
+  }
+
+  SimResult Finish(const SimConfig& config,
+                   std::vector<SimQuery>* trace_out) const {
+    const size_t n = count();
+    const size_t first = std::min(config.warmup_queries, n);
+    SimResult result;
+    result.response_times.reserve(n - first);
+    const ServeCounts counts = Summarize(first, result, [&](size_t q) {
+      result.response_times.push_back(depart_[q] - arrival_[q]);
+    });
+
+    // Counters only: simulations run on pool workers, and the flight
+    // recorder is reserved for serial paths. Sharded counter sums are
+    // order-independent, so this stays deterministic.
+    obs::Count("sim/runs");
+    obs::Count("sim/queries", n - first);
+    obs::Count("sim/sprinted", counts.sprinted);
+    obs::Count("sim/timed_out", counts.timed_out);
+    if (config.admission.Enabled()) {
+      obs::Count("sim/shed", result.shed_count);
+    }
+
+    // Spans come only from serial call sites, so the global collector
+    // needs the record_spans opt-in; an explicit span_sink (whatif reruns
+    // on workers) bypasses the session. With no phases, interference or
+    // faults, a span is queue wait + service + sprint delta.
+    RecordSpans(config.span_sink != nullptr
+                    ? config.span_sink
+                    : (config.record_spans ? obs::ActiveSpans() : nullptr),
+                first, [&](size_t q, obs::SpanInputs& in) {
+                  in.service_time = service_[q];
+                });
+
+    if (trace_out != nullptr) {
+      trace_out->resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        SimQuery& out = (*trace_out)[i];
+        out.arrival = arrival_[i];
+        out.service_time = service_[i];
+        out.start = start_[i];
+        out.depart = depart_[i];
+        out.timed_out = timed_out_[i] != 0;
+        out.sprinted = sprinted_[i] != 0;
+        out.shed = shed_[i] != 0;
+        out.sprint_seconds = sprint_seconds_[i];
+      }
+    }
+    return result;
+  }
+
+ private:
+  static ServeParams Params(const SimConfig& config, size_t n) {
+    ServeParams params;
+    params.queries = n;
+    params.capacity = n;
+    params.slots = config.slots;
+    params.arrival_rate_per_second = config.arrival_rate_per_second;
+    params.service_time_scale = config.service_time_scale;
+    params.timeout_seconds = config.timeout_seconds;
+    params.budget_capacity_seconds = config.budget_capacity_seconds;
+    params.budget_refill_seconds = config.budget_refill_seconds;
+    params.admission = config.admission;
+    // The SLO pipeline is opt-in (record_timeline) because simulations
+    // also run on pool workers while a pipeline is attached, and the
+    // pipeline, like the flight recorder, is serial-only.
+    params.slo = config.record_timeline ? obs::ActiveSlo() : nullptr;
+    params.model_bytes = RunArena::BytesFor<double>(n);
+    return params;
+  }
+
+  const double speedup_;
+  double* const service_;
 };
 
 }  // namespace
@@ -56,17 +140,10 @@ SimResult SimulateQueue(const SimConfig& config,
   if (config.service == nullptr) {
     throw std::invalid_argument("SimConfig.service must be set");
   }
-  if (config.num_queries == 0 || config.slots < 1 ||
-      config.sprint_speedup <= 0.0 || config.arrival_rate_per_second <= 0.0) {
-    throw std::invalid_argument("invalid SimConfig");
+  if (!std::isfinite(config.sprint_speedup) || config.sprint_speedup <= 0.0) {
+    throw std::invalid_argument(
+        "SimConfig.sprint_speedup must be finite and positive");
   }
-
-  Rng rng(config.seed);
-  // Arrival/service sampling consumes the whole stream up front; batched
-  // refills amortize the generator state updates without changing a
-  // single draw.
-  rng.EnableBatchedDraws();
-
   size_t n = config.num_queries;
   if (config.arrival_trace != nullptr) {
     if (config.arrival_trace->empty()) {
@@ -74,298 +151,9 @@ SimResult SimulateQueue(const SimConfig& config,
     }
     n = std::min(n, config.arrival_trace->size());
   }
-
-  // One block reservation covers every per-run array; the event loop
-  // below allocates nothing.
-  RunArena arena;
-  arena.Reserve(RunArena::BytesFor<double>(n) * 6 +
-                RunArena::BytesFor<uint64_t>(n) +
-                RunArena::BytesFor<uint8_t>(n) * 3 +
-                RunArena::BytesFor<size_t>(n));
-  QueryColumns q;
-  q.arrival = arena.AllocateUninit<double>(n);      // pre-gen writes all
-  q.service_time = arena.AllocateUninit<double>(n);  // pre-gen writes all
-  q.start = arena.Allocate<double>(n);
-  q.depart = arena.Allocate<double>(n);
-  q.sprint_begin = arena.Allocate<double>(n, -1.0);
-  q.sprint_seconds = arena.Allocate<double>(n);
-  q.stamps = arena.Allocate<uint64_t>(n);
-  q.timed_out = arena.Allocate<uint8_t>(n);
-  q.sprinted = arena.Allocate<uint8_t>(n);
-  q.shed = arena.Allocate<uint8_t>(n);
-  // FIFO ring: every query enqueues exactly once, so a monotone index
-  // pair over an n-slot array replaces the old std::deque (and its
-  // per-node heap churn).
-  size_t* fifo = arena.AllocateUninit<size_t>(n);  // written before read
-  size_t fifo_head = 0;
-  size_t fifo_tail = 0;
-
-  // Pre-generate arrivals and service times, as Algorithm 1 does ("these
-  // properties are set before simulation begins").
-  if (config.arrival_trace != nullptr) {
-    const auto& trace = *config.arrival_trace;
-    for (size_t i = 0; i < n; ++i) {
-      if (i > 0 && trace[i] < trace[i - 1]) {
-        throw std::invalid_argument("arrival trace must be ascending");
-      }
-      q.arrival[i] = trace[i];
-      q.service_time[i] = std::max(1e-9, config.service->Sample(rng)) *
-                          config.service_time_scale;
-    }
-  } else {
-    const auto interarrival = MakeDistribution(
-        config.arrival_kind, 1.0 / config.arrival_rate_per_second);
-    double t = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      t += interarrival->Sample(rng);
-      q.arrival[i] = t;
-      q.service_time[i] = std::max(1e-9, config.service->Sample(rng)) *
-                          config.service_time_scale;
-    }
-  }
-
-  SprintBudget budget(config.budget_capacity_seconds,
-                      config.budget_refill_seconds);
-  robust::AdmissionController admission(config.admission, config.slots);
-
-  // Streaming SLO pipeline: opt-in (record_timeline) because simulations
-  // also run on pool workers while a pipeline is attached, and the
-  // pipeline — like the flight recorder — is serial-only.
-  obs::SloPipeline* slo =
-      config.record_timeline ? obs::ActiveSlo() : nullptr;
-
-  // Same-timestamp events pop in push order (the EventQueue (time, seq)
-  // contract); each engine action below relies on that explicit tiebreak.
-  EventQueue events(/*width_hint=*/1.0 / config.arrival_rate_per_second);
-  int free_slots = config.slots;
-  size_t next_arrival = 0;
-  uint64_t stamp_counter = 0;
-
-  events.Push(q.arrival[0], static_cast<uint32_t>(EventType::kArrival), 0, 0);
-
-  auto schedule_departure = [&](size_t query, double when) {
-    q.stamps[query] = ++stamp_counter;
-    q.depart[query] = when;
-    events.Push(when, static_cast<uint32_t>(EventType::kDeparture), query,
-                q.stamps[query]);
-  };
-
-  auto dispatch = [&](size_t query, double now) {
-    if (config.admission.Enabled()) {
-      admission.OnDispatch(now, now - q.arrival[query]);
-    }
-    if (slo != nullptr) {
-      slo->OnQueueDepth(now, static_cast<double>(fifo_tail - fifo_head));
-    }
-    q.start[query] = now;
-    const double timeout_at = q.arrival[query] + config.timeout_seconds;
-    const bool timeout_already_fired = timeout_at <= now;
-    if (timeout_already_fired) {
-      q.timed_out[query] = 1;
-      if (budget.Available(now) > kBudgetEpsilon) {
-        // Whole execution sprints (the marginal-rate case of Section 2).
-        q.sprinted[query] = 1;
-        q.sprint_begin[query] = now;
-        if (slo != nullptr) {
-          slo->OnSprintEngage(now);
-        }
-        schedule_departure(query, now + q.service_time[query] /
-                                      config.sprint_speedup);
-        return;
-      }
-    }
-    schedule_departure(query, now + q.service_time[query]);
-    if (!timeout_already_fired) {
-      // Timeout may fire mid-execution; schedule the interrupt.
-      if (timeout_at < q.depart[query]) {
-        events.Push(timeout_at, static_cast<uint32_t>(EventType::kTimeout),
-                    query, q.stamps[query]);
-      }
-    }
-  };
-
-  auto complete = [&](size_t query, double now) {
-    if (config.admission.Enabled()) {
-      admission.OnServiceSample(now - q.start[query]);
-    }
-    if (q.sprinted[query]) {
-      q.sprint_seconds[query] = now - q.sprint_begin[query];
-      budget.ConsumeAllowingDebt(now, q.sprint_seconds[query]);
-    }
-    if (slo != nullptr) {
-      // The simulator has no badput notion: every served query is good.
-      slo->OnResponse(now, now - q.arrival[query], /*good=*/true);
-      slo->OnBudgetLevel(now, budget.Available(now));
-    }
-    ++free_slots;
-  };
-
-  while (!events.empty()) {
-    const EventRecord ev = events.PopMin();
-    const double now = ev.time();
-    const size_t query = static_cast<size_t>(ev.query);
-
-    switch (static_cast<EventType>(ev.type())) {
-      case EventType::kArrival: {
-        if (config.admission.Enabled() &&
-            !admission.Admit(now, fifo_tail - fifo_head,
-                             config.timeout_seconds)) {
-          q.shed[query] = 1;  // turned away: never enqueues, never runs
-          if (slo != nullptr) {
-            slo->OnShed(now);
-          }
-        } else {
-          fifo[fifo_tail++] = query;
-          if (slo != nullptr) {
-            slo->OnArrival(now);
-          }
-        }
-        if (++next_arrival < n) {
-          events.Push(q.arrival[next_arrival],
-                      static_cast<uint32_t>(EventType::kArrival),
-                      next_arrival, 0);
-        }
-        break;
-      }
-      case EventType::kDeparture: {
-        if (q.stamps[query] != ev.stamp) {
-          break;  // superseded by a sprint reschedule
-        }
-        complete(query, now);
-        break;
-      }
-      case EventType::kTimeout: {
-        // Only meaningful if the query is still executing un-sprinted with
-        // the same departure schedule it had when the interrupt was set.
-        if (q.stamps[query] != ev.stamp || q.sprinted[query] ||
-            q.depart[query] <= now) {
-          break;
-        }
-        q.timed_out[query] = 1;
-        if (slo != nullptr) {
-          slo->OnTimeout(now);
-        }
-        if (budget.Available(now) > kBudgetEpsilon) {
-          // Equation 1: remaining work finishes at the sprint speedup.
-          q.sprinted[query] = 1;
-          q.sprint_begin[query] = now;
-          if (slo != nullptr) {
-            slo->OnSprintEngage(now);
-          }
-          const double remaining = q.depart[query] - now;
-          schedule_departure(query, now + remaining / config.sprint_speedup);
-        }
-        break;
-      }
-    }
-
-    // Dispatch from the FIFO head while slots are open.
-    while (free_slots > 0 && fifo_head != fifo_tail) {
-      const size_t next = fifo[fifo_head++];
-      --free_slots;
-      dispatch(next, std::max(now, q.arrival[next]));
-    }
-  }
-
-  // Aggregate post-warmup statistics.
-  SimResult result;
-  const size_t first = std::min(config.warmup_queries, n);
-  result.response_times.reserve(n - first);
-  StreamingStats rt_stats;
-  StreamingStats qd_stats;
-  size_t sprinted = 0;
-  size_t timed_out = 0;
-  size_t served = 0;
-  for (size_t i = first; i < n; ++i) {
-    if (q.shed[i]) {
-      ++result.shed_count;  // never ran: no response time to report
-      continue;
-    }
-    ++served;
-    const double response = q.depart[i] - q.arrival[i];
-    result.response_times.push_back(response);
-    rt_stats.Add(response);
-    qd_stats.Add(q.start[i] - q.arrival[i]);
-    if (q.sprinted[i]) {
-      ++sprinted;
-      result.total_sprint_seconds += q.sprint_seconds[i];
-    }
-    if (q.timed_out[i]) {
-      ++timed_out;
-    }
-    result.makespan = std::max(result.makespan, q.depart[i]);
-  }
-  // Fractions are over *served* queries; with admission disabled this is
-  // exactly the historical n - first denominator.
-  const double count = static_cast<double>(served);
-  result.mean_response_time = rt_stats.mean();
-  result.mean_queueing_delay = qd_stats.mean();
-  result.fraction_sprinted = count > 0.0 ? sprinted / count : 0.0;
-  result.fraction_timed_out = count > 0.0 ? timed_out / count : 0.0;
-  if (slo != nullptr) {
-    slo->Finish(result.makespan);
-  }
-
-  // Counters only: simulations run on pool workers (replications, SA
-  // chains), and the flight recorder is reserved for serial paths. Sharded
-  // counter sums are order-independent, so this stays deterministic.
-  obs::Count("sim/runs");
-  obs::Count("sim/queries", n - first);
-  obs::Count("sim/sprinted", sprinted);
-  obs::Count("sim/timed_out", timed_out);
-  if (config.admission.Enabled()) {
-    obs::Count("sim/shed", result.shed_count);
-  }
-
-  // Span recording needs the explicit opt-in on top of an attached
-  // collector: simulations also run on pool workers while an ObsSession is
-  // live, and spans — like flight-recorder events — may only come from
-  // serial deterministic call sites. An explicit span_sink bypasses the
-  // global session entirely (whatif reruns on workers collect locally).
-  {
-    obs::SpanCollector* span_sink =
-        config.span_sink != nullptr
-            ? config.span_sink
-            : (config.record_spans ? obs::ActiveSpans() : nullptr);
-    if (span_sink != nullptr) {
-      std::vector<obs::SpanInputs> inputs;
-      inputs.reserve(n - first);
-      for (size_t i = first; i < n; ++i) {
-        if (q.shed[i]) {
-          continue;  // no milestones: the query never entered the system
-        }
-        obs::SpanInputs in;
-        in.id = i;
-        in.arrival = q.arrival[i];
-        in.start = q.start[i];
-        in.depart = q.depart[i];
-        // The simulator models no phases, interference or faults: the
-        // whole decomposition is queue wait + service + sprint delta.
-        in.service_time = q.service_time[i];
-        in.sprint_begin = q.sprinted[i] ? q.sprint_begin[i] : -1.0;
-        in.sprinted = q.sprinted[i] != 0;
-        in.timed_out = q.timed_out[i] != 0;
-        inputs.push_back(in);
-      }
-      span_sink->RecordBatch(obs::BuildQuerySpanBatch(inputs));
-    }
-  }
-
-  if (trace_out != nullptr) {
-    trace_out->resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      SimQuery& out = (*trace_out)[i];
-      out.arrival = q.arrival[i];
-      out.service_time = q.service_time[i];
-      out.start = q.start[i];
-      out.depart = q.depart[i];
-      out.timed_out = q.timed_out[i] != 0;
-      out.sprinted = q.sprinted[i] != 0;
-      out.shed = q.shed[i] != 0;
-      out.sprint_seconds = q.sprint_seconds[i];
-    }
-  }
-  return result;
+  SimServer server(config, n);
+  server.Run();
+  return server.Finish(config, trace_out);
 }
 
 ReplicatedResult SimulateReplicated(const SimConfig& config,

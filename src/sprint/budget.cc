@@ -5,8 +5,6 @@
 #include <cmath>
 #include <limits>
 
-#include "src/obs/obs.h"
-
 namespace msprint {
 
 SprintBudget::SprintBudget(double capacity_seconds, double refill_seconds) {
@@ -64,9 +62,6 @@ void SprintBudget::ConsumeAllowingDebt(double now, double amount) {
   total_consumed_ += std::max(0.0, amount);
   if (was_solvent && level_ < 0.0) {
     ++overdraw_count_;
-    // Overdraws were historically visible only to the model checker;
-    // export them so live dashboards see debt-incurring sprints too.
-    obs::Count("sprint/budget_overdraw");
   }
 }
 

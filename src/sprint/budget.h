@@ -64,7 +64,8 @@ class SprintBudget {
 
   // Times ConsumeAllowingDebt took the level from non-negative to negative.
   // The model checker (src/mc) asserts this stays 0 on paths that are
-  // supposed to gate sprints on a positive budget.
+  // supposed to gate sprints on a positive budget; the serve loop exports
+  // it once per run as `sprint/budget_overdraw`.
   size_t overdraw_count() const { return overdraw_count_; }
 
   void Reset(double now);

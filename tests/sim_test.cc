@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "src/common/thread_pool.h"
 #include "src/sim/queue_simulator.h"
@@ -313,6 +315,32 @@ TEST(SimBookkeepingTest, InvalidConfigThrows) {
   config = NoSprintConfig(service, 0.5);
   config.slots = 0;
   EXPECT_THROW(SimulateQueue(config), std::invalid_argument);
+
+  // Non-finite or non-positive rates, speedups and scales, and a NaN
+  // timeout, used to yield silently wrong results instead of an error.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& corrupt : std::vector<std::function<void(SimConfig&)>>{
+           [&](SimConfig& c) { c.service_time_scale = -1.0; },
+           [&](SimConfig& c) { c.service_time_scale = 0.0; },
+           [&](SimConfig& c) { c.service_time_scale = nan; },
+           [&](SimConfig& c) { c.service_time_scale = inf; },
+           [&](SimConfig& c) { c.arrival_rate_per_second = nan; },
+           [&](SimConfig& c) { c.arrival_rate_per_second = inf; },
+           [&](SimConfig& c) { c.arrival_rate_per_second = -0.5; },
+           [&](SimConfig& c) { c.sprint_speedup = nan; },
+           [&](SimConfig& c) { c.sprint_speedup = inf; },
+           [&](SimConfig& c) { c.sprint_speedup = -1.0; },
+           [&](SimConfig& c) { c.timeout_seconds = nan; },
+       }) {
+    config = NoSprintConfig(service, 0.5);
+    corrupt(config);
+    EXPECT_THROW(SimulateQueue(config), std::invalid_argument);
+  }
+  // An infinite timeout is how callers disable sprinting: still legal.
+  config = NoSprintConfig(service, 0.5, 200);
+  config.timeout_seconds = inf;
+  EXPECT_NO_THROW(SimulateQueue(config));
 }
 
 TEST(SimBookkeepingTest, DeterministicAcrossRuns) {

@@ -5,8 +5,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "src/testbed/testbed.h"
 
@@ -198,6 +200,36 @@ TEST(TestbedTest, InvalidConfigThrows) {
   config = BaseConfig(WorkloadId::kJacobi);
   config.slots = 0;
   EXPECT_THROW(Testbed::Run(config), std::invalid_argument);
+
+  // Non-finite or out-of-range knobs used to yield NaN means, instant
+  // sprints or negative service instead of an error.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& corrupt : std::vector<std::function<void(TestbedConfig&)>>{
+           [&](TestbedConfig& c) { c.utilization = nan; },
+           [&](TestbedConfig& c) { c.utilization = inf; },
+           [&](TestbedConfig& c) { c.utilization = -0.5; },
+           [&](TestbedConfig& c) { c.service_time_scale = nan; },
+           [&](TestbedConfig& c) { c.service_time_scale = -1.0; },
+           [&](TestbedConfig& c) { c.sprint_boost = nan; },
+           [&](TestbedConfig& c) { c.sprint_boost = inf; },
+           [&](TestbedConfig& c) { c.sprint_boost = -0.5; },
+           [&](TestbedConfig& c) { c.policy.timeout_seconds = nan; },
+       }) {
+    config = BaseConfig(WorkloadId::kJacobi);
+    corrupt(config);
+    EXPECT_THROW(Testbed::Run(config), std::invalid_argument);
+  }
+  // disable_sprinting runs with an infinite timeout; a zero boost (sprints
+  // save nothing) is a legal what-if.
+  config = BaseConfig(WorkloadId::kJacobi);
+  config.num_queries = 200;
+  config.warmup_queries = 20;
+  config.disable_sprinting = true;
+  EXPECT_NO_THROW(Testbed::Run(config));
+  config.disable_sprinting = false;
+  config.sprint_boost = 0.0;
+  EXPECT_NO_THROW(Testbed::Run(config));
 }
 
 TEST(TestbedTest, PercentileResponseTimeHasDefinedEdgeBehavior) {
