@@ -28,8 +28,7 @@ void PrintApproaches() {
 void PrintHardware() {
   PrintBanner(std::cout, "Table 1(B): sprinting hardware");
   TextTable table({"Mechanism", "Description"});
-  for (MechanismId id : {MechanismId::kDvfs, MechanismId::kCoreScale,
-                         MechanismId::kEc2Dvfs, MechanismId::kCpuThrottle}) {
+  for (MechanismId id : kAllMechanisms) {
     const auto mechanism = MakeMechanism(id);
     table.AddRow({ToString(id), mechanism->Describe()});
   }

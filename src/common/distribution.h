@@ -29,6 +29,12 @@ enum class DistributionKind {
   kEmpirical,
 };
 
+inline constexpr DistributionKind kAllDistributionKinds[] = {
+    DistributionKind::kExponential, DistributionKind::kPareto,
+    DistributionKind::kDeterministic, DistributionKind::kUniform,
+    DistributionKind::kLognormal, DistributionKind::kWeibull,
+    DistributionKind::kHyperexponential, DistributionKind::kEmpirical};
+
 // Returns a short lowercase name ("exponential", "pareto", ...).
 std::string ToString(DistributionKind kind);
 

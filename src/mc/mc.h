@@ -123,6 +123,10 @@ enum class InjectedBug {
                        // the door is on fire (overload alphabet only)
 };
 
+inline constexpr InjectedBug kAllInjectedBugs[] = {
+    InjectedBug::kNone, InjectedBug::kBudgetDebt,
+    InjectedBug::kBreakerSignalDrop, InjectedBug::kShedSignalDrop};
+
 std::string ToString(InjectedBug bug);
 // Returns nullopt for unknown names.
 std::optional<InjectedBug> InjectedBugFromName(const std::string& name);

@@ -96,8 +96,7 @@ WorkloadId ParseWorkloadId(const std::string& name) {
 }
 
 MechanismId ParseMechanismId(const std::string& name) {
-  for (MechanismId id : {MechanismId::kDvfs, MechanismId::kCoreScale,
-                         MechanismId::kEc2Dvfs, MechanismId::kCpuThrottle}) {
+  for (MechanismId id : kAllMechanisms) {
     if (ToString(id) == name) {
       return id;
     }
@@ -106,11 +105,7 @@ MechanismId ParseMechanismId(const std::string& name) {
 }
 
 DistributionKind ParseDistributionKind(const std::string& name) {
-  for (DistributionKind kind :
-       {DistributionKind::kExponential, DistributionKind::kPareto,
-        DistributionKind::kDeterministic, DistributionKind::kUniform,
-        DistributionKind::kLognormal, DistributionKind::kWeibull,
-        DistributionKind::kHyperexponential, DistributionKind::kEmpirical}) {
+  for (const DistributionKind kind : kAllDistributionKinds) {
     if (ToString(kind) == name) {
       return kind;
     }

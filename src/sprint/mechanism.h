@@ -32,6 +32,10 @@ enum class MechanismId {
   kCpuThrottle, // burstable-instance style CPU time-slicing
 };
 
+inline constexpr MechanismId kAllMechanisms[] = {
+    MechanismId::kDvfs, MechanismId::kCoreScale, MechanismId::kEc2Dvfs,
+    MechanismId::kCpuThrottle};
+
 std::string ToString(MechanismId id);
 
 class SprintMechanism {

@@ -62,6 +62,30 @@ TEST(CliExitCodeTest, Exit2UsageErrors) {
             kExitUsage);
   EXPECT_EQ(RunMsprint("whatif --queries 50 --deltas 0"), kExitUsage);
   EXPECT_EQ(RunMsprint("slo --queries 50 --format bogus"), kExitUsage);
+  // A flag the verb does not declare is rejected before anything runs,
+  // for every verb in the table; a misspelling must never silently run a
+  // different experiment.
+  for (const std::string verb :
+       {"calibrate", "predict", "explore", "replay", "checkpoint"}) {
+    EXPECT_EQ(RunMsprint(verb + " --profile /nonexistent/p.prof "
+                                "--no-such-flag 1"),
+              kExitUsage)
+        << verb;
+  }
+  for (const std::string verb : {"faults", "stats", "trace", "explain",
+                                 "storm", "slo", "watch", "whatif"}) {
+    EXPECT_EQ(RunMsprint(verb + " --queries 50 --no-such-flag 1"), kExitUsage)
+        << verb;
+  }
+  EXPECT_EQ(RunMsprint("profile --workload Jacobi --grid 1 --queries 20 "
+                       "--out /nonexistent/p.prof --no-such-flag 1"),
+            kExitUsage);
+  EXPECT_EQ(RunMsprint("restore --checkpoint /nonexistent/c --no-such-flag 1"),
+            kExitUsage);
+  EXPECT_EQ(RunMsprint("mc --horizon 1 --no-such-flag 1"), kExitUsage);
+  EXPECT_EQ(RunMsprint("obs-diff a b --no-such-flag 1"), kExitUsage);
+  EXPECT_EQ(RunMsprint("catalog --seed 1"), kExitUsage);
+  EXPECT_EQ(RunMsprint("faults --queries 50 --timout 5"), kExitUsage);
 }
 
 TEST(CliExitCodeTest, Exit3ObsDiffBreach) {

@@ -192,13 +192,10 @@ TEST(ProfileIoTest, ParseHelpersRoundTripEnums) {
   for (WorkloadId id : AllWorkloads()) {
     EXPECT_EQ(ParseWorkloadId(ToString(id)), id);
   }
-  for (MechanismId id : {MechanismId::kDvfs, MechanismId::kCoreScale,
-                         MechanismId::kEc2Dvfs, MechanismId::kCpuThrottle}) {
+  for (MechanismId id : kAllMechanisms) {
     EXPECT_EQ(ParseMechanismId(ToString(id)), id);
   }
-  for (DistributionKind kind :
-       {DistributionKind::kExponential, DistributionKind::kPareto,
-        DistributionKind::kDeterministic}) {
+  for (DistributionKind kind : kAllDistributionKinds) {
     EXPECT_EQ(ParseDistributionKind(ToString(kind)), kind);
   }
 }

@@ -139,8 +139,7 @@ TEST(CpuThrottleTest, InvalidFractionsThrow) {
 }
 
 TEST(MechanismTest, FactoryProducesCorrectIds) {
-  for (MechanismId id : {MechanismId::kDvfs, MechanismId::kCoreScale,
-                         MechanismId::kEc2Dvfs, MechanismId::kCpuThrottle}) {
+  for (MechanismId id : kAllMechanisms) {
     const auto mechanism = MakeMechanism(id);
     ASSERT_NE(mechanism, nullptr);
     EXPECT_EQ(mechanism->id(), id);

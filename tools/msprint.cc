@@ -1,111 +1,20 @@
 // msprint command-line tool: drive the pipeline without writing C++.
 //
-//   msprint catalog
-//       List workloads (Table 1C) and sprinting mechanisms (Table 1B).
-//
-//   msprint profile --workload Jacobi --mechanism DVFS --out jacobi.prof
-//       Profile a workload on a platform and save the profile (including
-//       observed response times) for later use. Options: --grid N,
-//       --queries N, --threads N, --seed N, --throttle F, --sprint-cpu F.
-//
-//   msprint calibrate --profile jacobi.prof --out jacobi.cal.prof
-//       Fill in effective sprint rates (Equation 2) for every row.
-//
-//   msprint predict --profile jacobi.cal.prof --utilization 0.75
-//       --timeout 90 --budget 0.3 --refill 400 [--model hybrid|noml|analytic]
-//       [--percentile 0.99] [--arrival exponential|pareto]
-//       Predict mean (or tail) response time for a policy.
-//
-//   msprint explore --profile jacobi.cal.prof --utilization 0.75
-//       --budget 0.3 --refill 400 [--iterations 200]
-//       Simulated-annealing search for the best timeout.
-//
-//   msprint faults --workload Jacobi --seed 7 --breaker-trips 4
-//       [--toggle-fail P --outliers P --flash-crowds R ...]
-//       Run the testbed under a deterministic fault storm and print the
-//       fault trace plus run statistics. The trace is byte-stable: two
-//       invocations with the same flags print identical traces, so replays
-//       can be diffed (see README).
-//
-//   msprint checkpoint --profile jacobi.cal.prof --out run.ckpt
-//       [--steps N --seed S --budget B --refill R]
-//       Train the hybrid model, drive the online advisor N deterministic
-//       steps (one line per step on stdout), and save a crash-safe
-//       checkpoint of the model, advisor and budget state.
-//
-//   msprint restore --checkpoint run.ckpt [--steps N --out next.ckpt]
-//       Warm-restart the advisor from a checkpoint and continue the drive.
-//       The step lines are byte-identical to an uninterrupted run: diff
-//       `tail -n N` of the long run against the restored run to audit.
-//
-//   msprint stats [--profile F | --workload W] [--format text|json]
-//       Run a seeded workload with the observability layer attached and
-//       print the deterministic metrics snapshot: same seed, same snapshot
-//       bytes, for any --threads / MSPRINT_THREADS.
-//
-//   msprint trace [--profile F | --workload W] [--format text|jsonl|chrome]
-//       Same drive, but print the sim-time flight-recorder event stream:
-//       text (one line per event), JSONL, or Chrome tracing JSON for
-//       chrome://tracing / Perfetto.
-//
-//   msprint explain [--profile F | --workload W] [--top K]
-//       [--format text|chrome]
-//       Per-query causal attribution of a seeded run: exact signed span
-//       components (queue wait, service phases, interference, fault delay,
-//       toggle overhead, sprint delta) that sum bit-for-bit to each
-//       query's response time, aggregated into a byte-stable report with
-//       the top-K slowest span trees. Without --profile the fault-capable
-//       testbed runs (same flags as `faults`); with --profile the advisor
-//       is driven to a recommendation and the recommended policy is
-//       replayed through the serial queue simulator.
-//
-//   msprint obs-diff <a> <b> [--max-rel X --approx-rel X --abs-eps X]
-//       Compare two exports (stats snapshots, explain reports, bench
-//       baselines) field by field and print a byte-stable delta report.
-//       Exits 3 when any delta breaches the thresholds.
-//
-//   msprint slo [--objectives F.slo] [--window S --capacity N]
-//       [--format text|jsonl] [--storm F.storm --side hardened|baseline]
-//       Run a seeded testbed (faults flags, or one side of a committed
-//       storm scenario) with the streaming SLO pipeline attached and
-//       print the byte-stable per-window timeline plus the burn-rate
-//       alert / anomaly summary. Exits 6 when any objective burns
-//       through its lifetime error budget. `msprint watch` renders the
-//       same run as a per-window p99 bar chart with alert markers.
-//
-//   msprint whatif [--storm F.storm --side hardened|baseline | <faults
-//       flags>] [--knobs k1,k2 --deltas d1,d2 --objectives F.slo
-//       --save F --load F --format text|jsonl --out F --require-gain X]
-//       Causal what-if profiler: rerun the same seeded scenario under a
-//       grid of knob perturbations (toggle latency, service/sprint rates,
-//       sprint timeout, breaker cooldown, retry backoff, admission
-//       threshold, SLO window) and print, per experiment, the first-order
-//       analytic prediction from the span telescoping sum, the exact
-//       measured delta from the counterfactual rerun, and the model
-//       error; knobs ranked by marginal gain per unit virtual speedup.
-//       Byte-identical output for any --threads / MSPRINT_THREADS. Exits
-//       7 when --require-gain X is given and no experiment improves mean
-//       response time by the fraction X.
-//
-// Exit codes (src/common/exit_codes.h): 0 success, 1 runtime failure,
-// 2 usage error (bad flag or unknown command), 3 obs-diff threshold
-// breach, 4 mc invariant violation, 5 storm goodput-ratio gate breach,
-// 6 slo error-budget burn-through, 7 whatif required-gain unmet.
-// `msprint help` / `--help` print usage on stdout and exit 0; a bad
-// invocation prints usage on stderr and exits 2.
+// Every verb — its operands, flags, one-line summary and handler — is
+// declared once in the verb table at the bottom of this file. `msprint
+// help` prints that table; a flag the chosen verb does not declare is a
+// usage error. Exit codes live in src/common/exit_codes.h.
 
+#include <algorithm>
 #include <cmath>
-#include <fstream>
+#include <filesystem>
 #include <iomanip>
 #include <iostream>
 #include <map>
-#include <sstream>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
-
-#include <algorithm>
-
-#include <filesystem>
 
 #include "src/common/exit_codes.h"
 #include "src/common/fileio.h"
@@ -128,12 +37,18 @@
 namespace msprint {
 namespace {
 
-// A malformed flag value. Printed as `flag <name>: <reason>` with exit
-// code 2 (usage error), distinct from runtime failures (exit 1).
-class FlagError : public std::runtime_error {
+// A bad invocation: unknown flag, malformed value, missing operand. Exits
+// 2 (usage error), distinct from runtime failures (exit 1).
+class UsageError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+// A bad flag, printed as `flag <name>: <reason>`.
+class FlagError : public UsageError {
  public:
   FlagError(const std::string& name, const std::string& reason)
-      : std::runtime_error("flag " + name + ": " + reason) {}
+      : UsageError("flag " + name + ": " + reason) {}
 };
 
 // Strict numeric parsing: the whole value must be one finite number.
@@ -175,16 +90,107 @@ size_t ParseSizeFlag(const std::string& name, const std::string& text) {
   }
 }
 
+// One declared flag of a verb.
+struct FlagSpec {
+  std::string name;
+  std::string value;                 // help placeholder, e.g. "N" or "F"
+  std::vector<std::string> choices = {};  // a choice flag's values
+  bool required = false;  // shown outside the brackets in help
+  bool boolean = false;   // bare, or followed by 0 or 1
+};
+
+FlagSpec Opt(const std::string& name, const std::string& value) {
+  return {name, value};
+}
+
+FlagSpec Req(FlagSpec spec) {
+  spec.required = true;
+  return spec;
+}
+
+FlagSpec Req(const std::string& name, const std::string& value) {
+  return Req(Opt(name, value));
+}
+
+FlagSpec OneOf(const std::string& name, std::vector<std::string> choices) {
+  std::string value;
+  for (const std::string& choice : choices) {
+    value += (value.empty() ? "" : "|") + choice;
+  }
+  return {name, value, std::move(choices)};
+}
+
+// The ToString names of `values`, in order: a choice flag's choices.
+template <typename Range>
+std::vector<std::string> Names(const Range& values) {
+  std::vector<std::string> names;
+  for (const auto value : values) {
+    names.push_back(ToString(value));
+  }
+  return names;
+}
+
+constexpr obs::Severity kSeverities[] = {
+    obs::Severity::kDebug, obs::Severity::kInfo, obs::Severity::kWarn,
+    obs::Severity::kError};
+
+// Flags shared by several verbs, declared once and listed once in help.
+struct FlagGroup {
+  std::string name;
+  std::string summary;
+  std::vector<FlagSpec> flags;
+};
+
+// Accepted by every verb: sizes the shared pool every parallel stage draws
+// from.
+const FlagSpec kThreadsFlag = Opt("threads", "N");
+
+class Flags;
+
+struct Verb {
+  std::string name;
+  std::string summary;
+  int (*run)(const Flags&);
+  std::vector<FlagSpec> flags;                // the verb's own flags
+  std::vector<const FlagGroup*> groups = {};  // shared groups it accepts
+  std::vector<std::string> operands = {};
+
+  const FlagSpec* Find(const std::string& flag) const {
+    for (const FlagSpec& spec : flags) {
+      if (spec.name == flag) {
+        return &spec;
+      }
+    }
+    for (const FlagGroup* group : groups) {
+      for (const FlagSpec& spec : group->flags) {
+        if (spec.name == flag) {
+          return &spec;
+        }
+      }
+    }
+    return flag == kThreadsFlag.name ? &kThreadsFlag : nullptr;
+  }
+};
+
+// The parsed command line of one verb: its operands, then `--name value`
+// pairs for flags the verb declares. Reading a flag the verb does not
+// declare is a programming error (std::logic_error), so the handlers and
+// the verb table cannot drift apart.
 class Flags {
  public:
-  // Boolean flags may appear bare (`--include-timing`) or with an explicit
-  // 0/1 value; every other flag requires a value.
-  static bool IsBooleanFlag(const std::string& name) {
-    return name == "include-timing";
-  }
-
-  Flags(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
+  Flags(const Verb& verb, int argc, char** argv) : verb_(verb) {
+    int i = 2;
+    for (; i < argc && operands_.size() < verb.operands.size(); ++i) {
+      if (std::string(argv[i]).rfind("--", 0) == 0) {
+        break;
+      }
+      operands_.push_back(argv[i]);
+    }
+    if (operands_.size() < verb.operands.size()) {
+      throw UsageError("msprint " + verb.name + ": missing operand <" +
+                       verb.operands[operands_.size()] + ">");
+    }
+    for (; i < argc; ++i) {
       std::string arg = argv[i];
       if (arg.rfind("--", 0) != 0) {
         // A stray positional is a bad invocation (exit 2), not a runtime
@@ -192,37 +198,51 @@ class Flags {
         throw FlagError(arg, "expected a --flag argument");
       }
       arg = arg.substr(2);
-      if (IsBooleanFlag(arg)) {
-        std::string value = "1";
-        if (i + 1 < argc) {
-          const std::string next = argv[i + 1];
-          if (next == "0" || next == "1") {
-            value = next;
-            ++i;
-          }
+      const FlagSpec* spec = verb.Find(arg);
+      if (spec == nullptr) {
+        throw FlagError(arg, "not a flag of msprint " + verb.name);
+      }
+      std::string value = "1";
+      if (spec->boolean) {
+        if (i + 1 < argc && (std::string(argv[i + 1]) == "0" ||
+                             std::string(argv[i + 1]) == "1")) {
+          value = argv[++i];
         }
-        values_[arg] = value;
-        continue;
-      }
-      if (i + 1 >= argc) {
+      } else if (i + 1 >= argc) {
         throw FlagError(arg, "missing value");
+      } else {
+        value = argv[++i];
       }
-      values_[arg] = argv[++i];
+      if (!spec->choices.empty() &&
+          std::find(spec->choices.begin(), spec->choices.end(), value) ==
+              spec->choices.end()) {
+        throw FlagError(arg,
+                        "expected " + spec->value + ", got '" + value + "'");
+      }
+      values_[arg] = value;
     }
   }
 
+  const std::vector<std::string>& operands() const { return operands_; }
+
+  bool Has(const std::string& name) const {
+    if (verb_.Find(name) == nullptr) {
+      throw std::logic_error("msprint " + verb_.name +
+                             " reads undeclared flag --" + name);
+    }
+    return values_.count(name) > 0;
+  }
+
   std::string GetString(const std::string& name) const {
-    const auto it = values_.find(name);
-    if (it == values_.end()) {
+    if (!Has(name)) {
       throw FlagError(name, "required flag is missing");
     }
-    return it->second;
+    return values_.at(name);
   }
 
   std::string GetString(const std::string& name,
                         const std::string& fallback) const {
-    const auto it = values_.find(name);
-    return it == values_.end() ? fallback : it->second;
+    return Has(name) ? values_.at(name) : fallback;
   }
 
   double GetDouble(const std::string& name) const {
@@ -230,24 +250,21 @@ class Flags {
   }
 
   double GetDouble(const std::string& name, double fallback) const {
-    const auto it = values_.find(name);
-    return it == values_.end() ? fallback
-                               : ParseDoubleFlag(name, it->second);
+    return Has(name) ? GetDouble(name) : fallback;
   }
 
   size_t GetSize(const std::string& name, size_t fallback) const {
-    const auto it = values_.find(name);
-    return it == values_.end() ? fallback : ParseSizeFlag(name, it->second);
+    return Has(name) ? ParseSizeFlag(name, values_.at(name)) : fallback;
   }
 
-  bool Has(const std::string& name) const { return values_.count(name) > 0; }
-
  private:
+  const Verb& verb_;
+  std::vector<std::string> operands_;
   std::map<std::string, std::string> values_;
 };
 
 // Converts a value parser's failure into a FlagError so a bad flag VALUE
-// (unknown workload name, malformed .storm/.slo file contents, ...) exits
+// (malformed .storm/.slo/.trace file contents, an inapplicable knob) exits
 // 2 like every other usage error, instead of drifting to exit 1. A
 // missing/unreadable FILE stays a runtime failure — wrap only the parse,
 // not the read.
@@ -255,43 +272,23 @@ template <typename Fn>
 auto ParseFlagValue(const std::string& name, Fn&& fn) -> decltype(fn()) {
   try {
     return fn();
-  } catch (const FlagError&) {
-    throw;
   } catch (const std::exception& error) {
     throw FlagError(name, error.what());
   }
 }
 
-WorkloadId WorkloadIdFlag(const Flags& flags, const std::string& name,
-                          const std::string& fallback) {
-  const std::string text =
-      fallback.empty() ? flags.GetString(name) : flags.GetString(name, fallback);
-  return ParseFlagValue(name, [&] { return ParseWorkloadId(text); });
-}
-
-MechanismId MechanismIdFlag(const Flags& flags, const std::string& name,
-                            const std::string& fallback) {
-  const std::string text = flags.GetString(name, fallback);
-  return ParseFlagValue(name, [&] { return ParseMechanismId(text); });
+// Reads the file named by flag `name` and parses its contents.
+template <typename Parse>
+auto ParseFileFlag(const Flags& flags, const std::string& name, Parse parse) {
+  const std::string text = ReadFileBytes(flags.GetString(name));
+  return ParseFlagValue(name, [&] { return parse(text); });
 }
 
 DistributionKind ArrivalKindFlag(const Flags& flags) {
-  const std::string text = flags.GetString("arrival", "exponential");
-  return ParseFlagValue("arrival",
-                        [&] { return ParseDistributionKind(text); });
+  return ParseDistributionKind(flags.GetString("arrival", "exponential"));
 }
 
-std::string ReadFileOrThrow(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("cannot open " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-int CmdCatalog() {
+int CmdCatalog(const Flags&) {
   std::cout << "Workloads (Table 1C):\n";
   for (WorkloadId id : AllWorkloads()) {
     const auto& spec = WorkloadCatalog::Get().spec(id);
@@ -300,8 +297,7 @@ int CmdCatalog() {
               << " qph on DVFS)\n";
   }
   std::cout << "\nMechanisms (Table 1B):\n";
-  for (MechanismId id : {MechanismId::kDvfs, MechanismId::kCoreScale,
-                         MechanismId::kEc2Dvfs, MechanismId::kCpuThrottle}) {
+  for (MechanismId id : kAllMechanisms) {
     std::cout << "  " << MakeMechanism(id)->Describe() << "\n";
   }
   return 0;
@@ -309,16 +305,16 @@ int CmdCatalog() {
 
 int CmdProfile(const Flags& flags) {
   SprintPolicy platform;
-  platform.mechanism = MechanismIdFlag(flags, "mechanism", "DVFS");
+  platform.mechanism = ParseMechanismId(flags.GetString("mechanism", "DVFS"));
   platform.throttle_fraction = flags.GetDouble("throttle", 0.2);
   platform.sprint_cpu_fraction = flags.GetDouble("sprint-cpu", 1.0);
 
-  QueryMix mix = QueryMix::Single(WorkloadIdFlag(flags, "workload", ""));
+  const WorkloadId workload = ParseWorkloadId(flags.GetString("workload"));
+  QueryMix mix = QueryMix::Single(workload);
   if (flags.Has("mix-with")) {
     // Two-workload mix with a default interference factor.
     mix = QueryMix::Uniform(
-        {WorkloadIdFlag(flags, "workload", ""),
-         WorkloadIdFlag(flags, "mix-with", "")},
+        {workload, ParseWorkloadId(flags.GetString("mix-with"))},
         flags.GetDouble("interference", 0.8));
   }
 
@@ -370,36 +366,26 @@ int CmdPredict(const Flags& flags) {
       LoadProfileFromFile(flags.GetString("profile"));
   const ModelInput input = InputFromFlags(flags);
   const std::string which = flags.GetString("model", "hybrid");
-
-  std::unique_ptr<PerformanceModel> model;
-  std::unique_ptr<HybridModel> hybrid;  // owns percentile-capable model
+  std::optional<HybridModel> hybrid;  // hybrid and noml predict percentiles
   if (which == "hybrid") {
-    hybrid = std::make_unique<HybridModel>(HybridModel::Train({&profile}));
-  } else if (which == "noml") {
-    model = std::make_unique<NoMlModel>();
-  } else if (which == "analytic") {
-    model = std::make_unique<AnalyticModel>();
-  } else {
-    throw FlagError("model", "expected hybrid|noml|analytic, got '" + which +
-                                 "'");
+    hybrid.emplace(HybridModel::Train({&profile}));
   }
-
   if (flags.Has("percentile")) {
     const double q = flags.GetDouble("percentile");
-    double value;
-    if (hybrid != nullptr) {
-      value = hybrid->PredictResponseTimePercentile(profile, input, q);
-    } else if (which == "noml") {
-      value = NoMlModel().PredictResponseTimePercentile(profile, input, q);
-    } else {
+    if (which == "analytic") {
       throw FlagError("percentile", "supported with --model hybrid|noml only");
     }
+    const double value =
+        hybrid ? hybrid->PredictResponseTimePercentile(profile, input, q)
+               : NoMlModel().PredictResponseTimePercentile(profile, input, q);
     std::cout << "p" << q * 100 << " response time: " << value << " s\n";
     return 0;
   }
-  const double rt = hybrid != nullptr
-                        ? hybrid->PredictResponseTime(profile, input)
-                        : model->PredictResponseTime(profile, input);
+  const double rt =
+      hybrid ? hybrid->PredictResponseTime(profile, input)
+      : which == "noml"
+          ? NoMlModel().PredictResponseTime(profile, input)
+          : AnalyticModel().PredictResponseTime(profile, input);
   std::cout << "expected mean response time (" << which << "): " << rt
             << " s\n";
   return 0;
@@ -469,14 +455,14 @@ int CmdExplore(const Flags& flags) {
   return 0;
 }
 
-// Runs the testbed under a configurable, fully deterministic fault storm
-// and prints the resulting fault trace. Two invocations with identical
-// flags print identical traces — pipe both to files and diff to audit a
-// replay.
+// The seeded, fault-capable testbed run the testbed flag group describes.
+// Two invocations with identical flags run identical storms.
 TestbedConfig TestbedConfigFromFlags(const Flags& flags) {
   TestbedConfig config;
-  config.mix = QueryMix::Single(WorkloadIdFlag(flags, "workload", "Jacobi"));
-  config.policy.mechanism = MechanismIdFlag(flags, "mechanism", "DVFS");
+  config.mix =
+      QueryMix::Single(ParseWorkloadId(flags.GetString("workload", "Jacobi")));
+  config.policy.mechanism =
+      ParseMechanismId(flags.GetString("mechanism", "DVFS"));
   config.policy.timeout_seconds = flags.GetDouble("timeout", 60.0);
   config.policy.budget_fraction = flags.GetDouble("budget", 0.2);
   config.policy.refill_seconds = flags.GetDouble("refill", 200.0);
@@ -504,14 +490,38 @@ TestbedConfig TestbedConfigFromFlags(const Flags& flags) {
   return config;
 }
 
+// The storm scenario in the .storm file named by flag `name` (built-in
+// defaults when absent), with the --seed/--queries quick overrides;
+// committed .storm files stay the source of truth for the CI replays.
+robust::StormConfig StormConfigFromFlags(const Flags& flags,
+                                         const std::string& name) {
+  robust::StormConfig config;
+  if (flags.Has(name)) {
+    config = ParseFileFlag(flags, name, robust::ParseStormConfig);
+  }
+  config.seed = flags.GetSize("seed", config.seed);
+  config.queries = flags.GetSize("queries", config.queries);
+  return config;
+}
+
+// The testbed run of slo, watch and whatif: one side of a storm scenario
+// (--storm, --side) or the testbed flags.
+TestbedConfig ScenarioFromFlags(const Flags& flags) {
+  if (!flags.Has("storm")) {
+    return TestbedConfigFromFlags(flags);
+  }
+  return robust::MakeStormTestbedConfig(
+      StormConfigFromFlags(flags, "storm"),
+      flags.GetString("side", "hardened") == "hardened");
+}
+
 // Replays a model-checker trace (tests/golden/mc_traces/*.trace) through
 // the ladder harness and prints the breaker faults it fired plus the
 // invariant verdict — the `msprint faults` side of the counterexample
 // pipeline. Exit 4 when the recorded invariant violation reproduces.
-int ReplayMcTraceAsFaults(const std::string& path) {
-  const std::string text = ReadFileOrThrow(path);
+int ReplayMcTraceAsFaults(const Flags& flags) {
   const mc::TraceFile trace =
-      ParseFlagValue("mc-trace", [&] { return mc::ParseTraceFile(text); });
+      ParseFileFlag(flags, "mc-trace", mc::ParseTraceFile);
   mc::McConfig config;
   config.bug = trace.bug;
   config.overload_alphabet = trace.overload;
@@ -526,7 +536,7 @@ int ReplayMcTraceAsFaults(const std::string& path) {
     }
   }
   std::cout << FormatFaultTrace(harness.fault_trace());
-  std::cout << "# mc-trace " << path << "\n"
+  std::cout << "# mc-trace " << flags.GetString("mc-trace") << "\n"
             << "# injected-bug " << mc::ToString(trace.bug) << "\n"
             << "# actions " << applied << "/" << trace.actions.size()
             << ", rung " << ToString(harness.advisor().rung())
@@ -544,7 +554,7 @@ int ReplayMcTraceAsFaults(const std::string& path) {
 
 int CmdFaults(const Flags& flags) {
   if (flags.Has("mc-trace")) {
-    return ReplayMcTraceAsFaults(flags.GetString("mc-trace"));
+    return ReplayMcTraceAsFaults(flags);
   }
   const TestbedConfig config = TestbedConfigFromFlags(flags);
 
@@ -583,60 +593,51 @@ int CmdFaults(const Flags& flags) {
 
 // ------------------------------------------------- checkpoint / restore
 
-// One step of the deterministic advisor drive. Every random draw comes
-// from Rng(DeriveSeed(state.seed, state.step)) — a pure function of the
-// drive cursor — so a run that was checkpointed and restored replays the
-// exact event sequence an uninterrupted run would have seen. Step lines go
-// to stdout at full precision (setprecision 17) so resumed output can be
-// byte-diffed against the tail of an uninterrupted run; all narration goes
-// to stderr.
-void DriveStep(OnlineAdvisor& advisor, SprintBudget& budget,
-               persist::DriveState& state, std::ostream* out) {
-  Rng rng(DeriveSeed(state.seed, state.step));
-  const double dt = 2.0 + 8.0 * rng.NextDouble();
-  state.clock_seconds += dt;
-  advisor.OnArrival(state.clock_seconds);
-  const double service_seconds = 30.0 + 20.0 * rng.NextDouble();
-  advisor.OnCompletion(state.clock_seconds, service_seconds);
-
-  const auto rec = advisor.Recommend(state.clock_seconds);
-  if (rec.has_value()) {
-    // Feed the watchdog a noisy observation around the prediction and
-    // debit the sprint budget, so both subsystems carry live state into
-    // the checkpoint.
-    advisor.OnObservedResponseTime(
-        state.clock_seconds,
-        rec->predicted_response_time * (0.8 + 0.4 * rng.NextDouble()));
-    budget.ConsumeUpTo(state.clock_seconds, 0.1 * service_seconds);
-  }
-
-  if (out != nullptr) {
-    *out << "step " << state.step << " t=" << state.clock_seconds
-         << " rate=" << advisor.EstimatedArrivalRate(state.clock_seconds)
-         << " budget=" << budget.Available(state.clock_seconds);
-    if (rec.has_value()) {
-      *out << " rung=" << ToString(rec->rung) << " rev=" << rec->revision
-           << " timeout=" << rec->timeout_seconds
-           << " predicted=" << rec->predicted_response_time;
-    } else {
-      *out << " rung=- rev=- timeout=- predicted=-";
-    }
-    *out << "\n";
-  }
-  ++state.step;
-}
-
-// Drives `steps` deterministic advisor steps. Step lines go to `out` at
-// full precision; pass nullptr to run silently (the stats/trace verbs keep
-// stdout for their own machine-readable export).
+// Drives `steps` steps of the deterministic advisor drive. Every random
+// draw comes from Rng(DeriveSeed(state.seed, state.step)) — a pure
+// function of the drive cursor — so a run that was checkpointed and
+// restored replays the exact event sequence an uninterrupted run would
+// have seen. Step lines go to `out` at full precision (setprecision 17) so
+// resumed output can be byte-diffed against the tail of an uninterrupted
+// run; nullptr runs silently. All narration goes to stderr.
 persist::DriveState DriveSteps(OnlineAdvisor& advisor, SprintBudget& budget,
                                persist::DriveState state, size_t steps,
                                std::ostream* out) {
   if (out != nullptr) {
     *out << std::setprecision(17);
   }
-  for (size_t i = 0; i < steps; ++i) {
-    DriveStep(advisor, budget, state, out);
+  for (size_t i = 0; i < steps; ++i, ++state.step) {
+    Rng rng(DeriveSeed(state.seed, state.step));
+    const double dt = 2.0 + 8.0 * rng.NextDouble();
+    state.clock_seconds += dt;
+    advisor.OnArrival(state.clock_seconds);
+    const double service_seconds = 30.0 + 20.0 * rng.NextDouble();
+    advisor.OnCompletion(state.clock_seconds, service_seconds);
+
+    const auto rec = advisor.Recommend(state.clock_seconds);
+    if (rec.has_value()) {
+      // Feed the watchdog a noisy observation around the prediction and
+      // debit the sprint budget, so both subsystems carry live state into
+      // the checkpoint.
+      advisor.OnObservedResponseTime(
+          state.clock_seconds,
+          rec->predicted_response_time * (0.8 + 0.4 * rng.NextDouble()));
+      budget.ConsumeUpTo(state.clock_seconds, 0.1 * service_seconds);
+    }
+
+    if (out != nullptr) {
+      *out << "step " << state.step << " t=" << state.clock_seconds
+           << " rate=" << advisor.EstimatedArrivalRate(state.clock_seconds)
+           << " budget=" << budget.Available(state.clock_seconds);
+      if (rec.has_value()) {
+        *out << " rung=" << ToString(rec->rung) << " rev=" << rec->revision
+             << " timeout=" << rec->timeout_seconds
+             << " predicted=" << rec->predicted_response_time;
+      } else {
+        *out << " rung=- rev=- timeout=- predicted=-";
+      }
+      *out << "\n";
+    }
   }
   return state;
 }
@@ -656,29 +657,46 @@ AdvisorConfig AdvisorConfigFromFlags(const Flags& flags) {
   return config;
 }
 
-int CmdCheckpoint(const Flags& flags) {
-  const WorkloadProfile profile =
-      LoadProfileFromFile(flags.GetString("profile"));
-  const std::string out = flags.GetString("out");
+// The advisor flag group's run: loads --profile, trains the hybrid model
+// and drives the online advisor --steps deterministic steps from --seed.
+// Step lines go to `out`; nullptr runs silently (stats, trace and explain
+// keep stdout for their own export).
+struct AdvisorDrive {
+  AdvisorDrive(const Flags& flags, std::ostream* out)
+      : profile(LoadProfileFromFile(flags.GetString("profile"))),
+        config(AdvisorConfigFromFlags(flags)),
+        model([&] {
+          std::cerr << "training hybrid model on " << profile.rows.size()
+                    << " rows...\n";
+          return HybridModel::Train({&profile}, {}, config.fallback_sim);
+        }()),
+        advisor(model, profile, config),
+        budget(SprintBudget::FromFraction(config.base.budget_fraction,
+                                          config.base.refill_seconds)) {
+    state.seed = flags.GetSize("seed", 1);
+    state = DriveSteps(advisor, budget, state, flags.GetSize("steps", 40),
+                       out);
+  }
+  // `advisor` refers to `model` and `profile`: a copy would dangle.
+  AdvisorDrive(const AdvisorDrive&) = delete;
+  AdvisorDrive& operator=(const AdvisorDrive&) = delete;
 
-  const AdvisorConfig config = AdvisorConfigFromFlags(flags);
-  std::cerr << "training hybrid model on " << profile.rows.size()
-            << " rows...\n";
-  const HybridModel model =
-      HybridModel::Train({&profile}, {}, config.fallback_sim);
-  OnlineAdvisor advisor(model, profile, config);
-  SprintBudget budget = SprintBudget::FromFraction(
-      config.base.budget_fraction, config.base.refill_seconds);
-
+  const WorkloadProfile profile;
+  const AdvisorConfig config;
+  const HybridModel model;
+  OnlineAdvisor advisor;
+  SprintBudget budget;
   persist::DriveState state;
-  state.seed = flags.GetSize("seed", 1);
-  state = DriveSteps(advisor, budget, state, flags.GetSize("steps", 40),
-                     &std::cout);
+};
 
-  persist::SaveCheckpointToFile(out, profile, model, config, advisor, budget,
-                                state);
-  std::cerr << "checkpoint saved to " << out << " at step " << state.step
-            << " (rung " << ToString(advisor.rung()) << ")\n";
+int CmdCheckpoint(const Flags& flags) {
+  const std::string out = flags.GetString("out");
+  const AdvisorDrive drive(flags, &std::cout);
+  persist::SaveCheckpointToFile(out, drive.profile, drive.model, drive.config,
+                                drive.advisor, drive.budget, drive.state);
+  std::cerr << "checkpoint saved to " << out << " at step "
+            << drive.state.step << " (rung " << ToString(drive.advisor.rung())
+            << ")\n";
   return 0;
 }
 
@@ -705,28 +723,13 @@ int CmdRestore(const Flags& flags) {
 }
 
 // Runs a seeded workload with an ObsSession attached so the stats/trace
-// verbs have telemetry to export. With --profile it trains the hybrid
-// model and drives the online advisor (step lines suppressed: stdout
-// belongs to the export); otherwise it runs the fault-capable testbed
-// with the same flags `msprint faults` takes.
+// verbs have telemetry to export: the advisor drive with --profile,
+// otherwise the fault-capable testbed.
 void RunObserved(const Flags& flags, obs::MetricsRegistry& metrics,
                  obs::FlightRecorder& recorder) {
   obs::ObsSession session(&metrics, &recorder);
   if (flags.Has("profile")) {
-    const WorkloadProfile profile =
-        LoadProfileFromFile(flags.GetString("profile"));
-    const AdvisorConfig config = AdvisorConfigFromFlags(flags);
-    std::cerr << "training hybrid model on " << profile.rows.size()
-              << " rows...\n";
-    const HybridModel model =
-        HybridModel::Train({&profile}, {}, config.fallback_sim);
-    OnlineAdvisor advisor(model, profile, config);
-    SprintBudget budget = SprintBudget::FromFraction(
-        config.base.budget_fraction, config.base.refill_seconds);
-    persist::DriveState state;
-    state.seed = flags.GetSize("seed", 1);
-    DriveSteps(advisor, budget, state, flags.GetSize("steps", 40),
-               /*out=*/nullptr);
+    const AdvisorDrive drive(flags, /*out=*/nullptr);
   } else {
     (void)Testbed::Run(TestbedConfigFromFlags(flags));
   }
@@ -739,17 +742,12 @@ int CmdStats(const Flags& flags) {
   RunObserved(flags, metrics, recorder);
   // Timing metrics (wall-clock) are opt-in: the default export is the
   // deterministic one that CI byte-diffs across pool sizes.
-  // `--include-timing` is the boolean spelling; `--timing 1` still works.
-  const bool timing = flags.GetSize("timing", 0) != 0 ||
-                      flags.GetSize("include-timing", 0) != 0;
-  const obs::MetricsSnapshot snapshot = metrics.Snapshot(timing);
-  const std::string format = flags.GetString("format", "text");
-  if (format == "text") {
-    std::cout << snapshot.ToText();
-  } else if (format == "json") {
+  const obs::MetricsSnapshot snapshot =
+      metrics.Snapshot(flags.GetSize("include-timing", 0) != 0);
+  if (flags.GetString("format", "text") == "json") {
     std::cout << snapshot.ToJson() << "\n";
   } else {
-    throw FlagError("format", "expected text|json, got '" + format + "'");
+    std::cout << snapshot.ToText();
   }
   return 0;
 }
@@ -758,32 +756,20 @@ int CmdTrace(const Flags& flags) {
   obs::MetricsRegistry metrics;
   obs::FlightRecorder recorder(
       flags.GetSize("capacity", obs::FlightRecorder::kDefaultCapacity));
-  if (flags.Has("min-severity")) {
-    const std::string severity = flags.GetString("min-severity");
-    if (severity == "debug") {
-      recorder.SetMinSeverityAll(obs::Severity::kDebug);
-    } else if (severity == "info") {
-      recorder.SetMinSeverityAll(obs::Severity::kInfo);
-    } else if (severity == "warn") {
-      recorder.SetMinSeverityAll(obs::Severity::kWarn);
-    } else if (severity == "error") {
-      recorder.SetMinSeverityAll(obs::Severity::kError);
-    } else {
-      throw FlagError("min-severity", "expected debug|info|warn|error, got '" +
-                                          severity + "'");
+  const std::string min_severity = flags.GetString("min-severity", "");
+  for (const obs::Severity severity : kSeverities) {
+    if (ToString(severity) == min_severity) {
+      recorder.SetMinSeverityAll(severity);
     }
   }
   RunObserved(flags, metrics, recorder);
   const std::string format = flags.GetString("format", "text");
-  if (format == "text") {
-    std::cout << recorder.FormatTail();
-  } else if (format == "jsonl") {
+  if (format == "jsonl") {
     std::cout << obs::EventsToJsonl(recorder.Events());
   } else if (format == "chrome") {
     std::cout << obs::EventsToChromeTrace(recorder.Events());
   } else {
-    throw FlagError("format",
-                    "expected text|jsonl|chrome, got '" + format + "'");
+    std::cout << recorder.FormatTail();
   }
   return 0;
 }
@@ -795,10 +781,6 @@ int CmdExplain(const Flags& flags) {
   obs::AttributionOptions options;
   options.top_k = flags.GetSize("top", 5);
   const std::string format = flags.GetString("format", "text");
-  if (format != "text" && format != "chrome" && format != "json") {
-    throw FlagError("format",
-                    "expected text|chrome|json, got '" + format + "'");
-  }
 
   obs::SpanCollector collector;
   std::string policy_comment;
@@ -806,28 +788,17 @@ int CmdExplain(const Flags& flags) {
     // Train, drive the advisor to a standing recommendation, then replay
     // the recommended policy through the timeout-aware simulator —
     // serially, so span recording keeps the determinism contract.
-    const WorkloadProfile profile =
-        LoadProfileFromFile(flags.GetString("profile"));
-    const AdvisorConfig config = AdvisorConfigFromFlags(flags);
-    std::cerr << "training hybrid model on " << profile.rows.size()
-              << " rows...\n";
-    const HybridModel model =
-        HybridModel::Train({&profile}, {}, config.fallback_sim);
-    OnlineAdvisor advisor(model, profile, config);
-    SprintBudget budget = SprintBudget::FromFraction(
-        config.base.budget_fraction, config.base.refill_seconds);
-    persist::DriveState state;
-    state.seed = flags.GetSize("seed", 1);
-    state = DriveSteps(advisor, budget, state, flags.GetSize("steps", 40),
-                       /*out=*/nullptr);
-    const auto rec = advisor.Recommend(state.clock_seconds);
+    AdvisorDrive drive(flags, /*out=*/nullptr);
+    const auto rec = drive.advisor.Recommend(drive.state.clock_seconds);
 
-    ModelInput input = config.base;
+    ModelInput input = drive.config.base;
     input.utilization = flags.GetDouble("utilization", 0.6);
     input.timeout_seconds = rec.has_value()
                                 ? rec->timeout_seconds
                                 : flags.GetDouble("timeout", 60.0);
-    const double mu_e_qph = model.PredictEffectiveRateQph(profile, input);
+    const WorkloadProfile& profile = drive.profile;
+    const double mu_e_qph =
+        drive.model.PredictEffectiveRateQph(profile, input);
     const double speedup = std::max(
         1.0, mu_e_qph / (profile.service_rate_per_second * kSecondsPerHour));
     const EmpiricalDistribution service(profile.service_time_samples);
@@ -865,64 +836,41 @@ int CmdExplain(const Flags& flags) {
   return kExitOk;
 }
 
-int CmdObsDiff(const std::string& path_a, const std::string& path_b,
-               const Flags& flags) {
+int CmdObsDiff(const Flags& flags) {
   obs::DiffOptions options;
   options.max_rel = flags.GetDouble("max-rel", options.max_rel);
   options.approx_rel = flags.GetDouble("approx-rel", options.approx_rel);
   options.abs_eps = flags.GetDouble("abs-eps", options.abs_eps);
-  const obs::DiffResult result = obs::DiffExports(
-      ReadFileOrThrow(path_a), ReadFileOrThrow(path_b), options);
+  const obs::DiffResult result =
+      obs::DiffExports(ReadFileBytes(flags.operands()[0]),
+                       ReadFileBytes(flags.operands()[1]), options);
   std::cout << result.report;
   return result.breached() ? kExitObsDiffBreach : kExitOk;
 }
 
 // ------------------------------------------------ bounded model checking
 
-mc::InjectedBug ParseInjectedBugFlag(const Flags& flags) {
-  const std::string name = flags.GetString("inject-bug", "none");
-  const auto bug = mc::InjectedBugFromName(name);
-  if (!bug.has_value()) {
-    throw FlagError("inject-bug",
-                    "expected none|budget-debt|breaker-signal-drop, got '" +
-                        name + "'");
-  }
-  return *bug;
-}
-
-bool ParseAlphabetFlag(const Flags& flags, bool fallback) {
-  const std::string name =
-      flags.GetString("alphabet", fallback ? "overload" : "default");
-  if (name == "default") {
-    return false;
-  }
-  if (name == "overload") {
-    return true;
-  }
-  throw FlagError("alphabet",
-                  "expected default|overload, got '" + name + "'");
-}
-
 int CmdMc(const Flags& flags) {
-  // Replay mode: reproduce a recorded trace and re-assert the invariants.
-  // The trace's own `# injected-bug` header decides the harness defect;
-  // --inject-bug overrides it (e.g. `none` to prove the fixed system
-  // replays the same actions cleanly).
+  // Replay mode reproduces a recorded trace and re-asserts the invariants.
+  // The trace's own header decides the harness defect and the alphabet
+  // (and thus whether the harness runs with the shed rung); --inject-bug
+  // and --alphabet override them (e.g. `--inject-bug none` to prove the
+  // fixed system replays the same actions cleanly).
+  mc::TraceFile trace;
   if (flags.Has("replay")) {
-    const std::string path = flags.GetString("replay");
-    const std::string text = ReadFileOrThrow(path);
-    mc::TraceFile trace =
-        ParseFlagValue("replay", [&] { return mc::ParseTraceFile(text); });
-    mc::McConfig config;
-    config.seed = flags.GetSize("seed", config.seed);
-    config.bug = flags.Has("inject-bug") ? ParseInjectedBugFlag(flags)
-                                         : trace.bug;
-    // The trace's own header decides the alphabet (and thus whether the
-    // harness runs with the shed rung); --alphabet overrides it.
-    config.overload_alphabet = ParseAlphabetFlag(flags, trace.overload);
+    trace = ParseFileFlag(flags, "replay", mc::ParseTraceFile);
+  }
+  mc::McConfig config;
+  config.seed = flags.GetSize("seed", config.seed);
+  config.bug = *mc::InjectedBugFromName(
+      flags.GetString("inject-bug", mc::ToString(trace.bug)));
+  config.overload_alphabet =
+      flags.GetString("alphabet", trace.overload ? "overload" : "default") ==
+      "overload";
+  if (flags.Has("replay")) {
     const auto violation = mc::ReplayTrace(config, trace.actions);
     std::cout << "# msprint mc replay v1\n"
-              << "trace " << path << "\n"
+              << "trace " << flags.GetString("replay") << "\n"
               << "actions " << trace.actions.size() << "\n"
               << "injected-bug " << mc::ToString(config.bug) << "\n"
               << "expected-invariant " << trace.invariant << "\n";
@@ -935,13 +883,9 @@ int CmdMc(const Flags& flags) {
     return kExitOk;
   }
 
-  mc::McConfig config;
   config.horizon = flags.GetSize("horizon", config.horizon);
-  config.seed = flags.GetSize("seed", config.seed);
   config.max_transitions =
       flags.GetSize("max-transitions", config.max_transitions);
-  config.bug = ParseInjectedBugFlag(flags);
-  config.overload_alphabet = ParseAlphabetFlag(flags, false);
 
   const mc::McReport report = mc::RunBoundedCheck(config);
   std::cout << mc::FormatReport(report);
@@ -977,18 +921,8 @@ int CmdMc(const Flags& flags) {
 // hardened/baseline goodput ratio — the CI overload-stress job replays
 // committed .storm configs through it.
 int CmdStorm(const Flags& flags) {
-  robust::StormConfig config;
-  if (flags.Has("config")) {
-    const std::string text = ReadFileOrThrow(flags.GetString("config"));
-    config = ParseFlagValue(
-        "config", [&] { return robust::ParseStormConfig(text); });
-  }
-  // Quick overrides for sweeps; committed .storm files stay the source of
-  // truth for the CI replays.
-  config.seed = flags.GetSize("seed", config.seed);
-  config.queries = flags.GetSize("queries", config.queries);
-
-  const robust::StormReport report = robust::RunStormAB(config);
+  const robust::StormReport report =
+      robust::RunStormAB(StormConfigFromFlags(flags, "config"));
   const std::string text = robust::FormatStormReport(report);
   std::cout << text;
   if (flags.Has("out")) {
@@ -1009,41 +943,22 @@ int CmdStorm(const Flags& flags) {
 // --------------------------------------------- streaming SLO telemetry
 
 // Shared driver of the `slo` and `watch` verbs (DESIGN.md §15): runs the
-// fault-capable testbed (the same flags `msprint faults` takes, or one
-// side of a committed .storm scenario via --storm) with an SloPipeline
-// attached, then prints the byte-stable window timeline (or the watch
-// rendering) followed by the summary. Exits 6 when any objective burned
-// through its lifetime error budget.
+// testbed scenario with an SloPipeline attached, then prints the
+// byte-stable window timeline (or the watch rendering) followed by the
+// summary. Exits 6 when any objective burned through its lifetime error
+// budget.
 int RunSloCommand(const Flags& flags, bool watch) {
   obs::SloConfig slo_config;
   if (flags.Has("objectives")) {
-    const std::string text = ReadFileOrThrow(flags.GetString("objectives"));
-    slo_config = ParseFlagValue(
-        "objectives", [&] { return obs::ParseSloObjectives(text); });
+    slo_config = ParseFileFlag(flags, "objectives", obs::ParseSloObjectives);
   }
   // Quick overrides; committed objectives files stay the source of truth.
   if (flags.Has("window")) {
     slo_config.window_seconds = flags.GetDouble("window");
   }
-  if (flags.Has("capacity")) {
-    slo_config.timeline_capacity =
-        flags.GetSize("capacity", slo_config.timeline_capacity);
-  }
-
-  TestbedConfig config;
-  if (flags.Has("storm")) {
-    const std::string text = ReadFileOrThrow(flags.GetString("storm"));
-    const robust::StormConfig storm = ParseFlagValue(
-        "storm", [&] { return robust::ParseStormConfig(text); });
-    const std::string side = flags.GetString("side", "hardened");
-    if (side != "hardened" && side != "baseline") {
-      throw FlagError("side",
-                      "expected hardened|baseline, got '" + side + "'");
-    }
-    config = robust::MakeStormTestbedConfig(storm, side == "hardened");
-  } else {
-    config = TestbedConfigFromFlags(flags);
-  }
+  slo_config.timeline_capacity =
+      flags.GetSize("capacity", slo_config.timeline_capacity);
+  const TestbedConfig config = ScenarioFromFlags(flags);
 
   obs::SloPipeline pipeline(slo_config);
   obs::MetricsRegistry metrics;
@@ -1053,16 +968,13 @@ int RunSloCommand(const Flags& flags, bool watch) {
     (void)Testbed::Run(config);  // Run() finishes the attached pipeline.
   }
 
-  const std::string format = flags.GetString("format", "text");
   std::string timeline;
   if (watch) {
     timeline = pipeline.FormatWatch();
-  } else if (format == "text") {
-    timeline = pipeline.FormatTimeline();
-  } else if (format == "jsonl") {
+  } else if (flags.GetString("format", "text") == "jsonl") {
     timeline = pipeline.FormatTimelineJsonl();
   } else {
-    throw FlagError("format", "expected text|jsonl, got '" + format + "'");
+    timeline = pipeline.FormatTimeline();
   }
   std::cout << timeline << pipeline.FormatSummary();
   if (flags.Has("out")) {
@@ -1076,25 +988,17 @@ int RunSloCommand(const Flags& flags, bool watch) {
   return kExitOk;
 }
 
-int CmdSlo(const Flags& flags) { return RunSloCommand(flags, /*watch=*/false); }
-
-int CmdWatch(const Flags& flags) { return RunSloCommand(flags, /*watch=*/true); }
-
 // ------------------------------------------------ causal what-if profiler
 
-std::vector<std::string> SplitCommaList(const std::string& text) {
+std::vector<std::string> SplitList(const std::string& text, char separator) {
   std::vector<std::string> items;
   size_t begin = 0;
   while (begin <= text.size()) {
-    const size_t comma = text.find(',', begin);
-    const size_t end = comma == std::string::npos ? text.size() : comma;
+    const size_t end = std::min(text.find(separator, begin), text.size());
     if (end > begin) {
       items.push_back(text.substr(begin, end - begin));
     }
-    if (comma == std::string::npos) {
-      break;
-    }
-    begin = comma + 1;
+    begin = end + 1;
   }
   return items;
 }
@@ -1102,15 +1006,9 @@ std::vector<std::string> SplitCommaList(const std::string& text) {
 // Shared report print + --save/--out/--require-gain tail of the whatif
 // verb (used both for fresh runs and for --load of a persisted report).
 int EmitWhatifReport(const whatif::Report& report, const Flags& flags) {
-  const std::string format = flags.GetString("format", "text");
-  std::string text;
-  if (format == "text") {
-    text = whatif::FormatReport(report);
-  } else if (format == "jsonl") {
-    text = whatif::FormatReportJsonl(report);
-  } else {
-    throw FlagError("format", "expected text|jsonl, got '" + format + "'");
-  }
+  const std::string text = flags.GetString("format", "text") == "jsonl"
+                               ? whatif::FormatReportJsonl(report)
+                               : whatif::FormatReport(report);
   std::cout << text;
   if (flags.Has("out")) {
     AtomicWriteFile(flags.GetString("out"), text);
@@ -1140,31 +1038,17 @@ int CmdWhatif(const Flags& flags) {
   }
 
   whatif::Scenario scenario;
-  if (flags.Has("storm")) {
-    const std::string text = ReadFileOrThrow(flags.GetString("storm"));
-    robust::StormConfig storm = ParseFlagValue(
-        "storm", [&] { return robust::ParseStormConfig(text); });
-    storm.seed = flags.GetSize("seed", storm.seed);
-    storm.queries = flags.GetSize("queries", storm.queries);
-    const std::string side = flags.GetString("side", "hardened");
-    if (side != "hardened" && side != "baseline") {
-      throw FlagError("side",
-                      "expected hardened|baseline, got '" + side + "'");
-    }
-    scenario.testbed = robust::MakeStormTestbedConfig(storm, side == "hardened");
-  } else {
-    scenario.testbed = TestbedConfigFromFlags(flags);
-  }
+  scenario.testbed = ScenarioFromFlags(flags);
   if (flags.Has("objectives")) {
-    const std::string text = ReadFileOrThrow(flags.GetString("objectives"));
-    scenario.slo = ParseFlagValue(
-        "objectives", [&] { return obs::ParseSloObjectives(text); });
+    scenario.slo =
+        ParseFileFlag(flags, "objectives", obs::ParseSloObjectives);
     scenario.evaluate_slo = true;
   }
 
   std::vector<whatif::Knob> knobs;
   if (flags.Has("knobs")) {
-    for (const std::string& name : SplitCommaList(flags.GetString("knobs"))) {
+    for (const std::string& name :
+         SplitList(flags.GetString("knobs"), ',')) {
       whatif::Knob knob;
       if (!whatif::ParseKnob(name, &knob)) {
         throw FlagError("knobs", "unknown knob '" + name + "'");
@@ -1179,7 +1063,7 @@ int CmdWhatif(const Flags& flags) {
   }
   std::vector<double> deltas;
   for (const std::string& item :
-       SplitCommaList(flags.GetString("deltas", "-0.5,0.25,1"))) {
+       SplitList(flags.GetString("deltas", "-0.5,0.25,1"), ',')) {
     deltas.push_back(ParseDoubleFlag("deltas", item));
   }
 
@@ -1196,86 +1080,193 @@ int CmdWhatif(const Flags& flags) {
   return EmitWhatifReport(whatif::RunWhatif(scenario, plan), flags);
 }
 
+// ------------------------------------------------------------ verb table
+
+const FlagSpec kArrivalFlag = OneOf("arrival", Names(kAllDistributionKinds));
+const FlagSpec kWorkloadFlag = OneOf("workload", Names(AllWorkloads()));
+const FlagSpec kMechanismFlag = OneOf("mechanism", Names(kAllMechanisms));
+
+const FlagGroup kTestbedFlags{
+    "testbed flags",
+    "a seeded testbed run under a deterministic fault storm",
+    {kWorkloadFlag, kMechanismFlag, Opt("utilization", "U"),
+     Opt("timeout", "S"), Opt("budget", "B"), Opt("refill", "S"),
+     Opt("queries", "N"), Opt("seed", "N"), Opt("fault-seed", "N"),
+     Opt("toggle-fail", "P"), Opt("breaker-trips", "R"),
+     Opt("breaker-cooldown", "S"), Opt("outliers", "P"),
+     Opt("outlier-multiplier", "X"), Opt("flash-crowds", "R"),
+     Opt("crowd-duration", "S"), Opt("crowd-intensity", "X")}};
+
+const FlagGroup kAdvisorFlags{
+    "advisor flags",
+    "with --profile: train the hybrid model, drive the online advisor",
+    {Opt("profile", "F"), Opt("steps", "N"), Opt("seed", "N"),
+     Opt("budget", "B"), Opt("refill", "S"), kArrivalFlag,
+     Opt("iterations", "N"), Opt("chains", "N"), Opt("rate-window", "S"),
+     Opt("sim-queries", "N")}};
+
+const FlagGroup kStormFlags{
+    "storm flags",
+    "one side of a storm scenario instead of the testbed flags",
+    {Opt("storm", "F"), OneOf("side", {"hardened", "baseline"})}};
+
+const std::vector<FlagSpec> kSloFlags = {
+    Opt("objectives", "F"), Opt("window", "S"), Opt("capacity", "N"),
+    OneOf("format", {"text", "jsonl"}), Opt("out", "F")};
+
+const std::vector<const FlagGroup*> kGroups = {&kTestbedFlags, &kAdvisorFlags,
+                                               &kStormFlags};
+
+const std::vector<Verb> kVerbs = {
+    {"catalog", "list workloads (Table 1C) and mechanisms (Table 1B)",
+     CmdCatalog, {}},
+    {"profile", "profile a workload on the testbed and save the profile",
+     CmdProfile,
+     {Req(kWorkloadFlag), Req("out", "F"), kMechanismFlag,
+      OneOf("mix-with", Names(AllWorkloads())), Opt("interference", "X"),
+      Opt("grid", "N"), Opt("queries", "N"), Opt("seed", "N"),
+      Opt("throttle", "X"), Opt("sprint-cpu", "X")}},
+    {"calibrate", "fill in every row's effective sprint rate (Eq. 2)",
+     CmdCalibrate, {Req("profile", "F"), Req("out", "F")}},
+    {"predict", "predict mean (or percentile) response time of a policy",
+     CmdPredict,
+     {Req("profile", "F"), Req("utilization", "U"), Req("budget", "B"),
+      Opt("timeout", "S"), Opt("refill", "S"),
+      OneOf("model", {"hybrid", "noml", "analytic"}), Opt("percentile", "Q"),
+      kArrivalFlag}},
+    {"explore", "simulated-annealing search for the best timeout",
+     CmdExplore,
+     {Req("profile", "F"), Req("utilization", "U"), Req("budget", "B"),
+      Opt("refill", "S"), Opt("iterations", "N"), kArrivalFlag}},
+    {"replay", "what-if on a recorded arrival trace (one time per line)",
+     CmdReplay,
+     {Req("profile", "F"), Req("trace", "F"), Req("budget", "B"),
+      Opt("timeout", "S"), Opt("refill", "S")}},
+    {"faults",
+     "byte-stable fault trace of a testbed run; --mc-trace replays a "
+     "model-checker trace (exit 4 on a violation)",
+     CmdFaults, {Opt("mc-trace", "F")}, {&kTestbedFlags}},
+    {"checkpoint", "drive the advisor and save a crash-safe checkpoint",
+     CmdCheckpoint, {Req("profile", "F"), Req("out", "F")}, {&kAdvisorFlags}},
+    {"restore", "warm-restart the advisor from a checkpoint, continue",
+     CmdRestore, {Req("checkpoint", "F"), Opt("steps", "N"), Opt("out", "F")}},
+    {"stats",
+     "deterministic metrics snapshot of a seeded run; --include-timing "
+     "adds wall-clock metrics, which are not byte-stable",
+     CmdStats,
+     {OneOf("format", {"text", "json"}),
+      {"include-timing", "", {}, false, /*boolean=*/true},
+      Opt("capacity", "N")},
+     {&kAdvisorFlags, &kTestbedFlags}},
+    {"trace", "sim-time flight-recorder event stream of the same run",
+     CmdTrace,
+     {OneOf("format", {"text", "jsonl", "chrome"}),
+      OneOf("min-severity", Names(kSeverities)), Opt("capacity", "N")},
+     {&kAdvisorFlags, &kTestbedFlags}},
+    {"explain",
+     "exact per-query latency attribution of a seeded run, top-K slowest "
+     "span trees",
+     CmdExplain, {OneOf("format", {"text", "chrome", "json"}), Opt("top", "K")},
+     {&kAdvisorFlags, &kTestbedFlags}},
+    {"obs-diff",
+     "compare two exports field by field; exit 3 on a threshold breach",
+     CmdObsDiff,
+     {Opt("max-rel", "X"), Opt("approx-rel", "X"), Opt("abs-eps", "X")}, {},
+     {"a", "b"}},
+    {"mc",
+     "bounded model checking of the advisor ladder; exit 4 on an invariant "
+     "violation",
+     CmdMc,
+     {Opt("horizon", "N"), Opt("seed", "N"), Opt("max-transitions", "N"),
+      OneOf("alphabet", {"default", "overload"}),
+      OneOf("inject-bug", Names(mc::kAllInjectedBugs)), Opt("export", "DIR"),
+      Opt("replay", "F")}},
+    {"storm",
+     "metastable-storm A/B of the baseline and hardened server; exit 5 "
+     "when the goodput ratio is below --require-ratio",
+     CmdStorm,
+     {Opt("config", "F"), Opt("seed", "N"), Opt("queries", "N"),
+      Opt("out", "F"), Opt("require-ratio", "X")}},
+    {"slo",
+     "streaming SLO timeline and burn-rate summary of a seeded run; exit 6 "
+     "on error-budget burn-through",
+     [](const Flags& flags) { return RunSloCommand(flags, /*watch=*/false); },
+     kSloFlags, {&kStormFlags, &kTestbedFlags}},
+    {"watch", "the slo run as a per-window p99 bar chart; exit 6 likewise",
+     [](const Flags& flags) { return RunSloCommand(flags, /*watch=*/true); },
+     kSloFlags, {&kStormFlags, &kTestbedFlags}},
+    {"whatif",
+     "causal what-if profiler: counterfactual reruns over a knob x delta "
+     "grid; exit 7 when --require-gain is unmet",
+     CmdWhatif,
+     {Opt("knobs", "K1,K2"), Opt("deltas", "D1,D2"), Opt("objectives", "F"),
+      Opt("save", "F"), Opt("load", "F"), OneOf("format", {"text", "jsonl"}),
+      Opt("out", "F"), Opt("require-gain", "X")},
+     {&kStormFlags, &kTestbedFlags}},
+};
+
+// Prints `words` wrapped at 78 columns, each line indented by `indent`.
+void PrintWrapped(std::ostream& out, const std::vector<std::string>& words,
+                  size_t indent) {
+  size_t column = 0;
+  for (const std::string& word : words) {
+    if (column > 0 && column + 1 + word.size() > 78) {
+      out << "\n";
+      column = 0;
+    }
+    const std::string gap = column == 0 ? std::string(indent, ' ') : " ";
+    out << gap << word;
+    column += gap.size() + word.size();
+  }
+  out << "\n";
+}
+
+std::string FlagWord(const FlagSpec& spec) {
+  return "--" + spec.name + (spec.boolean ? "" : " " + spec.value);
+}
+
+// A verb's help entry: `lead`, the verb with its operands and required
+// flags, then its summary and, in brackets, its optional flags and groups.
+void PrintVerb(std::ostream& out, const Verb& verb, const std::string& lead) {
+  std::vector<std::string> head = {lead + verb.name};
+  std::vector<std::string> rest;
+  for (const std::string& operand : verb.operands) {
+    head.push_back("<" + operand + ">");
+  }
+  for (const FlagSpec& spec : verb.flags) {
+    (spec.required ? head : rest).push_back(FlagWord(spec));
+  }
+  for (const FlagGroup* group : verb.groups) {
+    rest.push_back("<" + group->name + ">");
+  }
+  PrintWrapped(out, head, 0);
+  PrintWrapped(out, SplitList(verb.summary, ' '), 6);
+  if (!rest.empty()) {
+    rest.front() = "[" + rest.front();
+    rest.back() += "]";
+    PrintWrapped(out, rest, 6);
+  }
+}
+
 void PrintUsage(std::ostream& out) {
-  out <<
-      "usage: msprint <command> [--flags]\n"
-      "commands:\n"
-      "  catalog                       list workloads and mechanisms\n"
-      "  profile   --workload W --out F [--mechanism M --grid N ...]\n"
-      "  calibrate --profile F --out F [--threads N]\n"
-      "  predict   --profile F --utilization U --budget B [--timeout T\n"
-      "            --refill R --model hybrid|noml|analytic --percentile Q]\n"
-      "  explore   --profile F --utilization U --budget B [--refill R\n"
-      "            --iterations N]\n"
-      "  replay    --profile F --trace F --budget B [--timeout T\n"
-      "            --refill R]   (what-if on a recorded arrival trace)\n"
-      "  faults    [--workload W --seed N --toggle-fail P --breaker-trips R\n"
-      "            --breaker-cooldown S --outliers P --flash-crowds R ...]\n"
-      "            (deterministic fault-storm run; prints the fault trace)\n"
-      "  checkpoint --profile F --out F [--steps N --seed S --budget B\n"
-      "            --refill R]   (drive the advisor, save a checkpoint)\n"
-      "  restore   --checkpoint F [--steps N --out F]\n"
-      "            (warm-restart the advisor and continue the drive)\n"
-      "  stats     [--profile F | --workload W] [--format text|json\n"
-      "            --include-timing --steps N --seed S ...]\n"
-      "            (deterministic metrics snapshot of a seeded observed\n"
-      "            run; --include-timing adds wall-clock kTiming metrics,\n"
-      "            which are NOT byte-stable across runs)\n"
-      "  trace     [--profile F | --workload W] [--format text|jsonl|chrome\n"
-      "            --min-severity S --capacity N ...]   (sim-time flight\n"
-      "            recorder export of the same run)\n"
-      "  explain   [--profile F | --workload W] [--top K\n"
-      "            --format text|chrome ...]   (exact per-query latency\n"
-      "            attribution: signed span components summing bit-for-bit\n"
-      "            to each response time, top-K slowest span trees)\n"
-      "  obs-diff  <a> <b> [--max-rel X --approx-rel X --abs-eps X]\n"
-      "            (compare two exports; exit 3 on threshold breach)\n"
-      "  mc        [--horizon N --seed S --max-transitions N\n"
-      "            --alphabet default|overload\n"
-      "            --inject-bug none|budget-debt|breaker-signal-drop|\n"
-      "                         shed-signal-drop\n"
-      "            --export DIR | --replay FILE]\n"
-      "            (bounded model checking of the advisor ladder:\n"
-      "            exhaustive DFS with fingerprint dedup; minimized\n"
-      "            counterexample + exit 4 on invariant violation;\n"
-      "            --replay re-runs a recorded trace; --alphabet overload\n"
-      "            adds shed/retry-storm actions and the shed rung)\n"
-      "  storm     [--config F.storm --seed S --queries N --out F\n"
-      "            --require-ratio X]\n"
-      "            (metastable-failure A/B bench: the same deterministic\n"
-      "            retry storm against the unprotected baseline and the\n"
-      "            admission-controlled hardened server; exit 5 when the\n"
-      "            hardened/baseline goodput ratio falls below X)\n"
-      "  slo       [--objectives F.slo --window S --capacity N\n"
-      "            --format text|jsonl --out F\n"
-      "            --storm F.storm --side hardened|baseline | <faults\n"
-      "            flags>]   (streaming SLO telemetry of a seeded run:\n"
-      "            byte-stable per-window timeline — quantile sketches,\n"
-      "            goodput, shed, queue depth, sprint engages, budget —\n"
-      "            plus burn-rate alert + anomaly summary; exit 6 when an\n"
-      "            objective burns through its lifetime error budget)\n"
-      "  watch     [same flags as slo]   (render the same run as a\n"
-      "            terminal-friendly per-window p99 bar chart with alert\n"
-      "            markers; same exit-6 burn-through contract)\n"
-      "  whatif    [--storm F.storm --side hardened|baseline | <faults\n"
-      "            flags>] [--knobs k1,k2,... --deltas d1,d2,...\n"
-      "            --objectives F.slo --save F --load F\n"
-      "            --format text|jsonl --out F --require-gain X]\n"
-      "            (causal what-if profiler: exact counterfactual reruns\n"
-      "            of the same seeded scenario under a knob x delta grid\n"
-      "            — toggle-latency, service-rate, sprint-rate,\n"
-      "            sprint-timeout, breaker-cooldown, retry-backoff,\n"
-      "            admission, slo-window — reporting per experiment the\n"
-      "            first-order span prediction, the measured delta and\n"
-      "            the model error, with knobs ranked by marginal gain\n"
-      "            per unit virtual speedup; byte-identical for any\n"
-      "            --threads; exit 7 when --require-gain X is unmet)\n"
-      "  help                          print this message\n"
-      "exit codes: 0 success, 1 runtime failure, 2 usage error,\n"
-      "            3 obs-diff threshold breach, 4 mc invariant violation,\n"
-      "            5 storm goodput-ratio gate breach,\n"
-      "            6 slo error-budget burn-through,\n"
-      "            7 whatif required-gain unmet\n";
+  out << "usage: msprint <command> [<operands>] [--flag value ...]\n"
+         "commands:\n";
+  for (const Verb& verb : kVerbs) {
+    PrintVerb(out, verb, "  ");
+  }
+  out << "  help\n      print this message\nflag groups:\n";
+  for (const FlagGroup* group : kGroups) {
+    out << "  <" << group->name << ">\n      " << group->summary << "\n";
+    std::vector<std::string> words;
+    for (const FlagSpec& spec : group->flags) {
+      words.push_back(FlagWord(spec));
+    }
+    PrintWrapped(out, words, 6);
+  }
+  out << "every command also accepts " << FlagWord(kThreadsFlag)
+      << " (worker pool size; default MSPRINT_THREADS)\n"
+         "exit codes: 0 success, 1 runtime failure, 2 usage error (unknown\n"
+         "command or flag, bad value); verb-specific codes are listed above\n";
 }
 
 }  // namespace
@@ -1283,90 +1274,33 @@ void PrintUsage(std::ostream& out) {
 
 int main(int argc, char** argv) {
   using namespace msprint;
-  if (argc < 2) {
-    PrintUsage(std::cerr);
-    return kExitUsage;
-  }
-  const std::string command = argv[1];
+  const std::string command = argc < 2 ? "" : argv[1];
   if (command == "help" || command == "--help" || command == "-h") {
     PrintUsage(std::cout);
     return kExitOk;
   }
-  try {
-    if (command == "obs-diff") {
-      // Positional operands: the two export files to compare.
-      if (argc < 4 || std::string(argv[2]).rfind("--", 0) == 0 ||
-          std::string(argv[3]).rfind("--", 0) == 0) {
-        std::cerr << "usage: msprint obs-diff <a> <b> "
-                     "[--max-rel X --approx-rel X --abs-eps X]\n";
-        return kExitUsage;
-      }
-      const Flags diff_flags(argc, argv, 4);
-      return CmdObsDiff(argv[2], argv[3], diff_flags);
+  const auto verb =
+      std::find_if(kVerbs.begin(), kVerbs.end(),
+                   [&](const Verb& entry) { return entry.name == command; });
+  if (verb == kVerbs.end()) {
+    if (argc >= 2) {
+      std::cerr << "unknown command: " << command << "\n";
     }
-    const Flags flags(argc, argv, 2);
+    PrintUsage(std::cerr);
+    return kExitUsage;
+  }
+  try {
+    const Flags flags(*verb, argc, argv);
     // --threads sizes the shared pool every parallel stage draws from;
     // it must be set before any stage touches ThreadPool::Global().
     if (flags.Has("threads")) {
       ThreadPool::SetGlobalSize(flags.GetSize("threads", 0));
     }
-    if (command == "catalog") {
-      return CmdCatalog();
-    }
-    if (command == "profile") {
-      return CmdProfile(flags);
-    }
-    if (command == "calibrate") {
-      return CmdCalibrate(flags);
-    }
-    if (command == "predict") {
-      return CmdPredict(flags);
-    }
-    if (command == "explore") {
-      return CmdExplore(flags);
-    }
-    if (command == "replay") {
-      return CmdReplay(flags);
-    }
-    if (command == "faults") {
-      return CmdFaults(flags);
-    }
-    if (command == "checkpoint") {
-      return CmdCheckpoint(flags);
-    }
-    if (command == "restore") {
-      return CmdRestore(flags);
-    }
-    if (command == "stats") {
-      return CmdStats(flags);
-    }
-    if (command == "trace") {
-      return CmdTrace(flags);
-    }
-    if (command == "mc") {
-      return CmdMc(Flags(argc, argv, 2));
-    }
-    if (command == "storm") {
-      return CmdStorm(flags);
-    }
-    if (command == "slo") {
-      return CmdSlo(flags);
-    }
-    if (command == "watch") {
-      return CmdWatch(flags);
-    }
-    if (command == "whatif") {
-      return CmdWhatif(flags);
-    }
-    if (command == "explain") {
-      return CmdExplain(flags);
-    }
-    std::cerr << "unknown command: " << command << "\n";
-    PrintUsage(std::cerr);
-    return kExitUsage;
-  } catch (const FlagError& error) {
+    return verb->run(flags);
+  } catch (const UsageError& error) {
     // Bad invocation, not a runtime failure: usage exit code.
     std::cerr << error.what() << "\n";
+    PrintVerb(std::cerr, *verb, "usage: msprint ");
     return kExitUsage;
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";
