@@ -87,19 +87,6 @@ double AbsoluteRelativeError(double predicted, double observed) {
   return std::abs(predicted - observed) / std::abs(observed);
 }
 
-double MedianAbsoluteRelativeError(const std::vector<double>& predicted,
-                                   const std::vector<double>& observed) {
-  if (predicted.size() != observed.size() || predicted.empty()) {
-    throw std::invalid_argument("mismatched or empty error vectors");
-  }
-  std::vector<double> errors;
-  errors.reserve(predicted.size());
-  for (size_t i = 0; i < predicted.size(); ++i) {
-    errors.push_back(AbsoluteRelativeError(predicted[i], observed[i]));
-  }
-  return Median(std::move(errors));
-}
-
 EmpiricalCdf::EmpiricalCdf(std::vector<double> values)
     : sorted_(std::move(values)) {
   if (sorted_.empty()) {
@@ -116,16 +103,6 @@ double EmpiricalCdf::Probability(double x) const {
 
 double EmpiricalCdf::Value(double q) const {
   return Quantile(sorted_, q);
-}
-
-std::vector<std::pair<double, double>> EmpiricalCdf::AtThresholds(
-    const std::vector<double>& thresholds) const {
-  std::vector<std::pair<double, double>> out;
-  out.reserve(thresholds.size());
-  for (double t : thresholds) {
-    out.emplace_back(t, Probability(t));
-  }
-  return out;
 }
 
 double TailFraction(const std::vector<double>& values, double threshold) {

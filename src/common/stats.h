@@ -1,7 +1,7 @@
 // Streaming and batch statistics used throughout profiling, modeling and
 // the experiment harnesses: Welford mean/variance, quantiles, empirical
 // CDFs, and the error metrics the paper reports (absolute relative error,
-// median error, coefficient of variation).
+// coefficient of variation).
 
 #ifndef MSPRINT_SRC_COMMON_STATS_H_
 #define MSPRINT_SRC_COMMON_STATS_H_
@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace msprint {
@@ -55,11 +54,6 @@ double QuantileOrZero(std::vector<double> values, double q);
 // Returns |predicted| when observed == 0.
 double AbsoluteRelativeError(double predicted, double observed);
 
-// Median of elementwise absolute relative errors. Vectors must be the same
-// nonzero length.
-double MedianAbsoluteRelativeError(const std::vector<double>& predicted,
-                                   const std::vector<double>& observed);
-
 // An empirical CDF: sorted support points with cumulative probabilities.
 class EmpiricalCdf {
  public:
@@ -71,11 +65,6 @@ class EmpiricalCdf {
   // Inverse CDF (quantile) for q in [0,1].
   double Value(double q) const;
 
-  // Evaluates the CDF at each threshold; convenient for printing the
-  // error-CDF figures (Fig 8 and Fig 9).
-  std::vector<std::pair<double, double>> AtThresholds(
-      const std::vector<double>& thresholds) const;
-
   size_t size() const { return sorted_.size(); }
   const std::vector<double>& sorted_values() const { return sorted_; }
 
@@ -86,6 +75,17 @@ class EmpiricalCdf {
 // Fraction of `values` strictly greater than `threshold` — used for tail
 // latency accounting (e.g. the paper's ">335 seconds" 99th percentile cut).
 double TailFraction(const std::vector<double>& values, double threshold);
+
+// The repo-wide nearest-rank rule: 1-based rank of the sample a quantile
+// estimator should return for fraction `q` (clamped to [0, 1]) over
+// `count` samples. LogHistogram::ApproxQuantile, HistogramSnapshot::Quantile,
+// the SLO engine and QuantileSketch all route through it, so every quantile
+// consumer agrees bit-for-bit.
+inline uint64_t QuantileRankTarget(uint64_t count, double q) {
+  q = q < 0.0 ? 0.0 : (q > 1.0 ? 1.0 : q);
+  return std::min<uint64_t>(
+      count, 1 + static_cast<uint64_t>(q * static_cast<double>(count - 1)));
+}
 
 // Log-bucketed histogram for non-negative measurements (durations, byte
 // counts, queue depths). Buckets grow geometrically — kBucketsPerDecade per
@@ -241,9 +241,7 @@ class LogHistogram {
     if (count_ == 0) {
       return 0.0;
     }
-    q = std::clamp(q, 0.0, 1.0);
-    const uint64_t target = std::min<uint64_t>(
-        count_, 1 + static_cast<uint64_t>(q * static_cast<double>(count_ - 1)));
+    const uint64_t target = QuantileRankTarget(count_, q);
     uint64_t cumulative = 0;
     for (size_t i = 0; i < buckets_.size(); ++i) {
       cumulative += buckets_[i];

@@ -48,9 +48,12 @@ double SimulatedResponseTime(const WorkloadProfile& profile,
                              const CalibrationConfig& config);
 
 // Equation 2: returns the effective speedup mu_e / mu for one profiled
-// observation. Monotonicity of response time in the sprint speedup makes a
-// bisection search equivalent to the paper's increment/decrement walk, just
-// faster.
+// observation, by bisection instead of the paper's increment/decrement
+// walk. Bisection assumes response time falls monotonically with the
+// sprint speedup. Common random numbers remove resampling jitter but do
+// not guarantee that: 46 of 144 probed configs were non-monotone, with
+// uphill steps of up to 1 %, so bisection can settle on a different
+// crossing than the walk would.
 double CalibrateEffectiveSpeedup(const WorkloadProfile& profile,
                                  const ProfileRow& row,
                                  const Distribution& service,

@@ -88,12 +88,6 @@ std::string ToString(FaultKind kind) {
       return "service-outlier";
     case FaultKind::kFlashCrowd:
       return "flash-crowd";
-    case FaultKind::kTelemetryDrop:
-      return "telemetry-drop";
-    case FaultKind::kTelemetryDuplicate:
-      return "telemetry-duplicate";
-    case FaultKind::kTelemetryReorder:
-      return "telemetry-reorder";
   }
   return "unknown";
 }
@@ -101,9 +95,6 @@ std::string ToString(FaultKind kind) {
 bool FaultPlanConfig::Enabled() const {
   return toggle_failure_probability > 0.0 || breaker_trips_per_hour > 0.0 ||
          outlier_probability > 0.0 || flash_crowds_per_hour > 0.0 ||
-         telemetry_drop_probability > 0.0 ||
-         telemetry_duplicate_probability > 0.0 ||
-         telemetry_reorder_probability > 0.0 ||
          !scheduled_breaker_trips.empty() || !scheduled_flash_crowds.empty();
 }
 
@@ -129,8 +120,7 @@ FaultPlan FaultPlan::Generate(const FaultPlanConfig& config,
                               uint64_t run_seed, double horizon_seconds) {
   if (config.breaker_cooldown_seconds < 0.0 ||
       config.flash_crowd_duration_seconds < 0.0 ||
-      config.flash_crowd_intensity <= 0.0 || config.outlier_multiplier <= 0.0 ||
-      config.telemetry_reorder_delay_seconds < 0.0) {
+      config.flash_crowd_intensity <= 0.0 || config.outlier_multiplier <= 0.0) {
     throw std::invalid_argument("invalid FaultPlanConfig");
   }
   FaultPlan plan;
@@ -162,21 +152,6 @@ QueryFaults FaultPlan::ForQuery(uint64_t query_index) const {
   faults.toggle_fails = rng.NextDouble() < config_.toggle_failure_probability;
   if (rng.NextDouble() < config_.outlier_probability) {
     faults.service_multiplier = config_.outlier_multiplier;
-  }
-  faults.drop_arrival = rng.NextDouble() < config_.telemetry_drop_probability;
-  faults.drop_completion =
-      rng.NextDouble() < config_.telemetry_drop_probability;
-  faults.duplicate_arrival =
-      rng.NextDouble() < config_.telemetry_duplicate_probability;
-  faults.duplicate_completion =
-      rng.NextDouble() < config_.telemetry_duplicate_probability;
-  if (rng.NextDouble() < config_.telemetry_reorder_probability) {
-    faults.reorder_arrival_delay =
-        config_.telemetry_reorder_delay_seconds * rng.NextDoubleOpenZero();
-  }
-  if (rng.NextDouble() < config_.telemetry_reorder_probability) {
-    faults.reorder_completion_delay =
-        config_.telemetry_reorder_delay_seconds * rng.NextDoubleOpenZero();
   }
   return faults;
 }
@@ -239,61 +214,6 @@ void FaultInjector::RecordBreakerTrip(double now, double cooldown_seconds) {
 void FaultInjector::RecordSprintAbort(uint64_t query, double now) {
   trace_.push_back({now, FaultKind::kSprintAbort, query, 0.0});
   obs::Count("fault/sprint_aborts");
-}
-
-std::vector<TelemetryEvent> PerturbTelemetry(const FaultPlan& plan,
-                                             std::vector<TelemetryEvent> events,
-                                             FaultTrace* trace) {
-  struct Delivery {
-    TelemetryEvent event;
-    double deliver_at;
-    size_t order;
-  };
-  std::vector<Delivery> deliveries;
-  deliveries.reserve(events.size());
-  size_t order = 0;
-  for (const TelemetryEvent& event : events) {
-    const QueryFaults faults = plan.ForQuery(event.query);
-    const bool drop =
-        event.is_completion ? faults.drop_completion : faults.drop_arrival;
-    if (drop) {
-      if (trace != nullptr) {
-        trace->push_back(
-            {event.time, FaultKind::kTelemetryDrop, event.query, 0.0});
-      }
-      obs::Count("fault/telemetry_drops");
-      continue;
-    }
-    const double delay = event.is_completion ? faults.reorder_completion_delay
-                                             : faults.reorder_arrival_delay;
-    if (delay > 0.0 && trace != nullptr) {
-      trace->push_back(
-          {event.time, FaultKind::kTelemetryReorder, event.query, delay});
-    }
-    deliveries.push_back({event, event.time + delay, order++});
-    const bool duplicate = event.is_completion ? faults.duplicate_completion
-                                               : faults.duplicate_arrival;
-    if (duplicate) {
-      if (trace != nullptr) {
-        trace->push_back(
-            {event.time, FaultKind::kTelemetryDuplicate, event.query, 0.0});
-      }
-      obs::Count("fault/telemetry_duplicates");
-      deliveries.push_back({event, event.time + delay, order++});
-    }
-  }
-  std::stable_sort(deliveries.begin(), deliveries.end(),
-                   [](const Delivery& a, const Delivery& b) {
-                     return a.deliver_at != b.deliver_at
-                                ? a.deliver_at < b.deliver_at
-                                : a.order < b.order;
-                   });
-  std::vector<TelemetryEvent> out;
-  out.reserve(deliveries.size());
-  for (const Delivery& delivery : deliveries) {
-    out.push_back(delivery.event);
-  }
-  return out;
 }
 
 }  // namespace msprint

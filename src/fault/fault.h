@@ -1,10 +1,9 @@
-// Deterministic fault injection for the sprinting testbed and telemetry
-// path.
+// Deterministic fault injection for the sprinting testbed.
 //
 // The paper's premise is that sprinting hardware misbehaves in ways a clean
 // first-principles model misses (Section 2.3's "unaccounted runtime
-// factors"); production adds dropped telemetry, mid-sprint breaker trips
-// and stale models on top. This module makes those adverse conditions
+// factors"); production adds mid-sprint breaker trips and stale models on
+// top. This module makes those adverse conditions
 // first-class citizens of the simulator: a FaultPlan is derived entirely
 // from a 64-bit seed, so any run — and any fault storm — replays
 // byte-identically, preserving the library-wide invariant
@@ -18,10 +17,7 @@
 //                                 window (a power/thermal cap firing);
 //   * service-time outliers     — GC-pause-style stalls inflating one
 //                                 query's execution;
-//   * arrival flash crowds      — windows of multiplied arrival intensity;
-//   * telemetry faults          — dropped, duplicated and out-of-order
-//                                 OnArrival/OnCompletion events on the way
-//                                 to the OnlineAdvisor.
+//   * arrival flash crowds      — windows of multiplied arrival intensity.
 //
 // Determinism structure: window faults (breaker trips, flash crowds) are a
 // Poisson process drawn from dedicated DeriveSeed streams over the run
@@ -44,10 +40,12 @@ enum class FaultKind {
   kSprintAbort,
   kServiceOutlier,
   kFlashCrowd,
-  kTelemetryDrop,
-  kTelemetryDuplicate,
-  kTelemetryReorder,
 };
+
+inline constexpr FaultKind kAllFaultKinds[] = {
+    FaultKind::kToggleFailure, FaultKind::kBreakerTrip,
+    FaultKind::kSprintAbort, FaultKind::kServiceOutlier,
+    FaultKind::kFlashCrowd};
 
 std::string ToString(FaultKind kind);
 
@@ -85,12 +83,6 @@ struct FaultPlanConfig {
   double flash_crowd_duration_seconds = 60.0;
   double flash_crowd_intensity = 3.0;
 
-  // Telemetry-path faults, applied per event by PerturbTelemetry.
-  double telemetry_drop_probability = 0.0;
-  double telemetry_duplicate_probability = 0.0;
-  double telemetry_reorder_probability = 0.0;
-  double telemetry_reorder_delay_seconds = 30.0;
-
   // Explicitly scheduled windows, merged (in begin order) with the Poisson
   // draws above. These make metastable-failure scenarios scriptable: a
   // storm preset pins a flash crowd at t=300s and a breaker trip inside it
@@ -109,7 +101,7 @@ struct FaultEvent {
   double time = 0.0;
   FaultKind kind = FaultKind::kToggleFailure;
   uint64_t query = kNoQuery;  // kNoQuery for window faults
-  double detail = 0.0;        // kind-specific: multiplier, cooldown, delay
+  double detail = 0.0;        // kind-specific: multiplier, cooldown
 };
 
 using FaultTrace = std::vector<FaultEvent>;
@@ -122,12 +114,6 @@ std::string FormatFaultTrace(const FaultTrace& trace);
 struct QueryFaults {
   bool toggle_fails = false;
   double service_multiplier = 1.0;
-  bool drop_arrival = false;
-  bool drop_completion = false;
-  bool duplicate_arrival = false;
-  bool duplicate_completion = false;
-  double reorder_arrival_delay = 0.0;     // 0: delivered in order
-  double reorder_completion_delay = 0.0;  // 0: delivered in order
 };
 
 // The deterministic schedule: window faults materialized up front,
@@ -208,25 +194,6 @@ class FaultInjector {
   FaultTrace trace_;
   double forced_lockout_until_ = 0.0;
 };
-
-// One event on the telemetry path between the serving layer and the
-// OnlineAdvisor.
-struct TelemetryEvent {
-  double time = 0.0;
-  bool is_completion = false;
-  double processing_seconds = 0.0;  // completions only
-  uint64_t query = 0;
-};
-
-// Applies the plan's telemetry faults to `events` (sorted by time): drops,
-// duplicates and delays individual events, appending what fired to `trace`
-// when non-null. Events keep their original timestamps but are returned in
-// *delivery* order (delayed events surface late — i.e. out of order),
-// with ties broken by original position, so the same plan always yields a
-// byte-identical stream.
-std::vector<TelemetryEvent> PerturbTelemetry(const FaultPlan& plan,
-                                             std::vector<TelemetryEvent> events,
-                                             FaultTrace* trace = nullptr);
 
 }  // namespace msprint
 

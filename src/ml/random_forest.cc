@@ -78,16 +78,6 @@ std::vector<double> RandomForest::PredictBatch(
   return out;
 }
 
-std::vector<double> RandomForest::PredictPerTree(
-    const std::vector<double>& features) const {
-  std::vector<double> votes;
-  votes.reserve(trees_.size());
-  for (const auto& tree : trees_) {
-    votes.push_back(tree.Predict(features));
-  }
-  return votes;
-}
-
 void RandomForest::Serialize(persist::Writer& w) const {
   w.PutU64(trees_.size());
   for (const DecisionTree& tree : trees_) {

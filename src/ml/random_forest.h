@@ -45,10 +45,6 @@ class RandomForest {
       const std::vector<std::vector<double>>& rows,
       ThreadPool* pool = nullptr) const;
 
-  // Per-tree predictions (the "votes"), for inspection and tests.
-  std::vector<double> PredictPerTree(const std::vector<double>& features)
-      const;
-
   size_t TreeCount() const { return trees_.size(); }
 
   // Appends the fitted forest to `w`; round trips are bit-exact, so a

@@ -42,18 +42,6 @@ enum class Determinism : uint8_t {
 // Byte-stable decimal rendering of a double (%.17g: bit-exact round trip).
 std::string StableDouble(double value);
 
-// The repo-wide nearest-rank rule: 1-based rank of the sample a quantile
-// estimator should return for fraction `q` over `count` samples. Shared by
-// HistogramSnapshot::Quantile, the SLO engine and QuantileSketch so every
-// quantile consumer agrees bit-for-bit (and stays bit-identical to
-// LogHistogram::ApproxQuantile, which predates this helper and cannot
-// depend on obs).
-inline uint64_t QuantileRankTarget(uint64_t count, double q) {
-  q = q < 0.0 ? 0.0 : (q > 1.0 ? 1.0 : q);
-  return std::min<uint64_t>(
-      count, 1 + static_cast<uint64_t>(q * static_cast<double>(count - 1)));
-}
-
 // Monotonic counter, sharded across padded atomic cells.
 class Counter {
  public:

@@ -61,8 +61,8 @@ class QuantileSketch {
   double gamma() const { return gamma_; }
   size_t num_buckets() const { return buckets_.size(); }
 
-  // Bit-exact wire form (little-endian, self-contained). Deserialize
-  // fails closed with std::invalid_argument on any malformed input.
+  // Bit-exact wire form (persist::Writer, self-contained). Deserialize
+  // fails closed with persist::PersistError on any malformed input.
   std::string Serialize() const;
   static QuantileSketch Deserialize(std::string_view bytes);
 

@@ -8,7 +8,7 @@
 
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
-#include "src/obs/wire.h"
+#include "src/persist/codec.h"
 
 namespace msprint {
 namespace obs {
@@ -16,6 +16,11 @@ namespace {
 
 constexpr uint32_t kSloMagic = 0x314F4C53;  // "SLO1"
 constexpr uint8_t kSloVersion = 1;
+
+[[noreturn]] void Malformed(const std::string& what) {
+  throw persist::PersistError(persist::ErrorCode::kFormat,
+                              "SloPipeline: " + what);
+}
 
 void ValidateConfig(const SloConfig& config) {
   if (!std::isfinite(config.window_seconds) || config.window_seconds <= 0.0) {
@@ -770,180 +775,185 @@ std::string SloPipeline::FormatWatch() const {
 }
 
 std::string SloPipeline::SaveState() const {
-  std::string out;
-  wire::PutU32(out, kSloMagic);
-  out.push_back(static_cast<char>(kSloVersion));
+  persist::Writer w;
+  w.PutU32(kSloMagic);
+  w.PutU8(kSloVersion);
   // --- config ---
-  wire::PutF64(out, config_.window_seconds);
-  wire::PutF64(out, config_.sketch_relative_accuracy);
-  wire::PutU64(out, config_.timeline_capacity);
-  wire::PutF64(out, config_.burn.fast_short_seconds);
-  wire::PutF64(out, config_.burn.fast_long_seconds);
-  wire::PutF64(out, config_.burn.fast_threshold);
-  wire::PutF64(out, config_.burn.slow_short_seconds);
-  wire::PutF64(out, config_.burn.slow_long_seconds);
-  wire::PutF64(out, config_.burn.slow_threshold);
-  wire::PutU64(out, config_.objectives.size());
+  w.PutF64(config_.window_seconds);
+  w.PutF64(config_.sketch_relative_accuracy);
+  w.PutU64(config_.timeline_capacity);
+  w.PutF64(config_.burn.fast_short_seconds);
+  w.PutF64(config_.burn.fast_long_seconds);
+  w.PutF64(config_.burn.fast_threshold);
+  w.PutF64(config_.burn.slow_short_seconds);
+  w.PutF64(config_.burn.slow_long_seconds);
+  w.PutF64(config_.burn.slow_threshold);
+  w.PutU64(config_.objectives.size());
   for (const SloObjective& objective : config_.objectives) {
-    out.push_back(static_cast<char>(objective.signal));
-    out.push_back(static_cast<char>(objective.op));
-    wire::PutF64(out, objective.threshold);
-    wire::PutF64(out, objective.budget);
+    w.PutU8(static_cast<uint8_t>(objective.signal));
+    w.PutU8(static_cast<uint8_t>(objective.op));
+    w.PutF64(objective.threshold);
+    w.PutF64(objective.budget);
   }
-  wire::PutU64(out, config_.anomalies.size());
+  w.PutU64(config_.anomalies.size());
   for (const SloAnomalyConfig& anomaly : config_.anomalies) {
-    out.push_back(static_cast<char>(anomaly.signal));
-    wire::PutF64(out, anomaly.alpha);
-    wire::PutF64(out, anomaly.z);
-    wire::PutU64(out, anomaly.warmup_windows);
+    w.PutU8(static_cast<uint8_t>(anomaly.signal));
+    w.PutF64(anomaly.alpha);
+    w.PutF64(anomaly.z);
+    w.PutU64(anomaly.warmup_windows);
   }
   // --- lifetime state ---
-  wire::PutBool(out, finished_);
-  wire::PutU64(out, windows_closed_);
-  wire::PutU64(out, windows_dropped_);
-  wire::PutU64(out, alert_windows_);
+  w.PutBool(finished_);
+  w.PutU64(windows_closed_);
+  w.PutU64(windows_dropped_);
+  w.PutU64(alert_windows_);
   for (const SloObjectiveState& state : objective_states_) {
-    wire::PutU64(out, state.windows_evaluated);
-    wire::PutU64(out, state.bad_windows);
-    wire::PutBool(out, state.alert_active);
-    wire::PutU64(out, state.fires);
-    wire::PutU64(out, state.clears);
-    wire::PutBool(out, state.has_first_fire);
-    wire::PutF64(out, state.first_fire_time);
+    w.PutU64(state.windows_evaluated);
+    w.PutU64(state.bad_windows);
+    w.PutBool(state.alert_active);
+    w.PutU64(state.fires);
+    w.PutU64(state.clears);
+    w.PutBool(state.has_first_fire);
+    w.PutF64(state.first_fire_time);
   }
   for (const SloAnomalyState& state : anomaly_states_) {
-    wire::PutU64(out, state.windows_seen);
-    wire::PutF64(out, state.ewma_mean);
-    wire::PutF64(out, state.ewma_var);
-    wire::PutU64(out, state.anomalies);
+    w.PutU64(state.windows_seen);
+    w.PutF64(state.ewma_mean);
+    w.PutF64(state.ewma_var);
+    w.PutU64(state.anomalies);
   }
   // --- run-wide response histogram ---
-  wire::PutU64(out, run_response_.rejected());
-  wire::PutBool(out, run_response_.count() > 0);
-  wire::PutF64(out, run_response_.min());
-  wire::PutF64(out, run_response_.max());
+  w.PutU64(run_response_.rejected());
+  w.PutBool(run_response_.count() > 0);
+  w.PutF64(run_response_.min());
+  w.PutF64(run_response_.max());
   uint64_t nonzero = 0;
   for (uint64_t c : run_response_.buckets()) {
     nonzero += c > 0 ? 1 : 0;
   }
-  wire::PutU64(out, nonzero);
+  w.PutU64(nonzero);
   for (size_t i = 0; i < run_response_.buckets().size(); ++i) {
     if (run_response_.buckets()[i] > 0) {
-      wire::PutU64(out, i);
-      wire::PutU64(out, run_response_.buckets()[i]);
+      w.PutU64(i);
+      w.PutU64(run_response_.buckets()[i]);
     }
   }
   // --- windows: open first, then the closed ring oldest-first ---
-  auto put_window = [&out](const SloWindow& w) {
-    wire::PutU64(out, w.index);
-    wire::PutF64(out, w.begin);
-    wire::PutF64(out, w.end);
-    wire::PutString(out, w.response.Serialize());
-    wire::PutF64(out, w.response_sum);
-    wire::PutU64(out, w.arrivals);
-    wire::PutU64(out, w.responses);
-    wire::PutU64(out, w.good);
-    wire::PutU64(out, w.bad);
-    wire::PutU64(out, w.shed);
-    wire::PutU64(out, w.engages);
-    wire::PutU64(out, w.aborts);
-    wire::PutU64(out, w.timeouts);
-    wire::PutBool(out, w.has_queue_depth);
-    wire::PutF64(out, w.queue_depth);
-    wire::PutBool(out, w.has_budget);
-    wire::PutF64(out, w.budget_level);
-    wire::PutU32(out, w.evaluated_mask);
-    wire::PutU32(out, w.violation_mask);
-    wire::PutU32(out, w.alert_mask);
+  auto put_window = [&w](const SloWindow& window) {
+    w.PutU64(window.index);
+    w.PutF64(window.begin);
+    w.PutF64(window.end);
+    w.PutString(window.response.Serialize());
+    w.PutF64(window.response_sum);
+    w.PutU64(window.arrivals);
+    w.PutU64(window.responses);
+    w.PutU64(window.good);
+    w.PutU64(window.bad);
+    w.PutU64(window.shed);
+    w.PutU64(window.engages);
+    w.PutU64(window.aborts);
+    w.PutU64(window.timeouts);
+    w.PutBool(window.has_queue_depth);
+    w.PutF64(window.queue_depth);
+    w.PutBool(window.has_budget);
+    w.PutF64(window.budget_level);
+    w.PutU32(window.evaluated_mask);
+    w.PutU32(window.violation_mask);
+    w.PutU32(window.alert_mask);
   };
   put_window(open_);
-  wire::PutU64(out, closed_.size());
-  for (const SloWindow& w : closed_) {
-    put_window(w);
+  w.PutU64(closed_.size());
+  for (const SloWindow& window : closed_) {
+    put_window(window);
   }
-  return out;
+  return w.Take();
 }
 
 SloPipeline SloPipeline::RestoreState(std::string_view bytes) {
-  wire::Cursor cursor(bytes);
-  if (cursor.GetU32() != kSloMagic) {
-    throw std::invalid_argument("SloPipeline: bad magic");
+  persist::Reader r(bytes);
+  if (r.GetU32() != kSloMagic) {
+    Malformed("bad magic");
   }
-  if (cursor.GetU8() != kSloVersion) {
-    throw std::invalid_argument("SloPipeline: unsupported version");
+  if (r.GetU8() != kSloVersion) {
+    Malformed("unsupported version");
   }
   SloConfig config;
-  config.window_seconds = cursor.GetFiniteF64("slo window");
-  config.sketch_relative_accuracy = cursor.GetFiniteF64("slo accuracy");
-  config.timeline_capacity = static_cast<size_t>(cursor.GetU64());
-  config.burn.fast_short_seconds = cursor.GetFiniteF64("burn fast short");
-  config.burn.fast_long_seconds = cursor.GetFiniteF64("burn fast long");
-  config.burn.fast_threshold = cursor.GetFiniteF64("burn fast threshold");
-  config.burn.slow_short_seconds = cursor.GetFiniteF64("burn slow short");
-  config.burn.slow_long_seconds = cursor.GetFiniteF64("burn slow long");
-  config.burn.slow_threshold = cursor.GetFiniteF64("burn slow threshold");
-  const uint64_t num_objectives = cursor.GetCount(18, "slo objectives");
+  config.window_seconds = r.GetFiniteF64("slo window");
+  config.sketch_relative_accuracy = r.GetFiniteF64("slo accuracy");
+  config.timeline_capacity = static_cast<size_t>(r.GetU64());
+  config.burn.fast_short_seconds = r.GetFiniteF64("burn fast short");
+  config.burn.fast_long_seconds = r.GetFiniteF64("burn fast long");
+  config.burn.fast_threshold = r.GetFiniteF64("burn fast threshold");
+  config.burn.slow_short_seconds = r.GetFiniteF64("burn slow short");
+  config.burn.slow_long_seconds = r.GetFiniteF64("burn slow long");
+  config.burn.slow_threshold = r.GetFiniteF64("burn slow threshold");
+  const uint64_t num_objectives = r.GetCount(18, "slo objectives");
   for (uint64_t i = 0; i < num_objectives; ++i) {
     SloObjective objective;
-    const uint8_t signal = cursor.GetU8();
-    const uint8_t op = cursor.GetU8();
+    const uint8_t signal = r.GetU8();
+    const uint8_t op = r.GetU8();
     if (signal > static_cast<uint8_t>(SloSignal::kArrivalRate)) {
-      throw std::invalid_argument("SloPipeline: bad objective signal");
+      Malformed("bad objective signal");
     }
     if (op > static_cast<uint8_t>(SloOp::kGe)) {
-      throw std::invalid_argument("SloPipeline: bad objective op");
+      Malformed("bad objective op");
     }
     objective.signal = static_cast<SloSignal>(signal);
     objective.op = static_cast<SloOp>(op);
-    objective.threshold = cursor.GetFiniteF64("objective threshold");
-    objective.budget = cursor.GetFiniteF64("objective budget");
+    objective.threshold = r.GetFiniteF64("objective threshold");
+    objective.budget = r.GetFiniteF64("objective budget");
     config.objectives.push_back(objective);
   }
-  const uint64_t num_anomalies = cursor.GetCount(25, "slo anomalies");
+  const uint64_t num_anomalies = r.GetCount(25, "slo anomalies");
   for (uint64_t i = 0; i < num_anomalies; ++i) {
     SloAnomalyConfig anomaly;
-    const uint8_t signal = cursor.GetU8();
+    const uint8_t signal = r.GetU8();
     if (signal > static_cast<uint8_t>(SloSignal::kArrivalRate)) {
-      throw std::invalid_argument("SloPipeline: bad anomaly signal");
+      Malformed("bad anomaly signal");
     }
     anomaly.signal = static_cast<SloSignal>(signal);
-    anomaly.alpha = cursor.GetFiniteF64("anomaly alpha");
-    anomaly.z = cursor.GetFiniteF64("anomaly z");
-    anomaly.warmup_windows = cursor.GetU64();
+    anomaly.alpha = r.GetFiniteF64("anomaly alpha");
+    anomaly.z = r.GetFiniteF64("anomaly z");
+    anomaly.warmup_windows = r.GetU64();
     config.anomalies.push_back(anomaly);
   }
-  SloPipeline pipeline(std::move(config));  // ValidateConfig runs here
-  pipeline.finished_ = cursor.GetBool();
-  pipeline.windows_closed_ = cursor.GetU64();
-  pipeline.windows_dropped_ = cursor.GetU64();
-  pipeline.alert_windows_ = cursor.GetU64();
+  try {
+    ValidateConfig(config);
+  } catch (const std::invalid_argument& error) {
+    Malformed(error.what());
+  }
+  SloPipeline pipeline(std::move(config));
+  pipeline.finished_ = r.GetBool();
+  pipeline.windows_closed_ = r.GetU64();
+  pipeline.windows_dropped_ = r.GetU64();
+  pipeline.alert_windows_ = r.GetU64();
   for (SloObjectiveState& state : pipeline.objective_states_) {
-    state.windows_evaluated = cursor.GetU64();
-    state.bad_windows = cursor.GetU64();
-    state.alert_active = cursor.GetBool();
-    state.fires = cursor.GetU64();
-    state.clears = cursor.GetU64();
-    state.has_first_fire = cursor.GetBool();
-    state.first_fire_time = cursor.GetF64();
+    state.windows_evaluated = r.GetU64();
+    state.bad_windows = r.GetU64();
+    state.alert_active = r.GetBool();
+    state.fires = r.GetU64();
+    state.clears = r.GetU64();
+    state.has_first_fire = r.GetBool();
+    state.first_fire_time = r.GetF64();
   }
   for (SloAnomalyState& state : pipeline.anomaly_states_) {
-    state.windows_seen = cursor.GetU64();
-    state.ewma_mean = cursor.GetFiniteF64("anomaly ewma mean");
-    state.ewma_var = cursor.GetFiniteF64("anomaly ewma var");
-    state.anomalies = cursor.GetU64();
+    state.windows_seen = r.GetU64();
+    state.ewma_mean = r.GetFiniteF64("anomaly ewma mean");
+    state.ewma_var = r.GetFiniteF64("anomaly ewma var");
+    state.anomalies = r.GetU64();
   }
-  const uint64_t rejected = cursor.GetU64();
-  const bool has_response = cursor.GetBool();
-  const double response_min = cursor.GetF64();
-  const double response_max = cursor.GetF64();
-  const uint64_t nonzero = cursor.GetCount(16, "slo histogram buckets");
+  const uint64_t rejected = r.GetU64();
+  const bool has_response = r.GetBool();
+  const double response_min = r.GetF64();
+  const double response_max = r.GetF64();
+  const uint64_t nonzero = r.GetCount(16, "slo histogram buckets");
   uint64_t previous_bucket = 0;
   for (uint64_t i = 0; i < nonzero; ++i) {
-    const uint64_t bucket = cursor.GetU64();
-    const uint64_t count = cursor.GetU64();
+    const uint64_t bucket = r.GetU64();
+    const uint64_t count = r.GetU64();
     if (bucket >= LogHistogram::NumBuckets() ||
         (i > 0 && bucket <= previous_bucket) || count == 0) {
-      throw std::invalid_argument("SloPipeline: bad histogram bucket");
+      Malformed("bad histogram bucket");
     }
     previous_bucket = bucket;
     pipeline.run_response_.InjectBucketCount(static_cast<size_t>(bucket),
@@ -954,57 +964,56 @@ SloPipeline SloPipeline::RestoreState(std::string_view bytes) {
     if (!std::isfinite(response_min) || !std::isfinite(response_max) ||
         response_min < 0.0 || response_min > response_max ||
         pipeline.run_response_.count() == 0) {
-      throw std::invalid_argument("SloPipeline: bad histogram bounds");
+      Malformed("bad histogram bounds");
     }
     pipeline.run_response_.InjectBounds(response_min, response_max);
   } else if (pipeline.run_response_.count() != 0) {
-    throw std::invalid_argument("SloPipeline: histogram counts without bounds");
+    Malformed("histogram counts without bounds");
   }
-  auto get_window = [&cursor, &pipeline]() {
+  auto get_window = [&r, &pipeline]() {
     SloWindow w(pipeline.config_.sketch_relative_accuracy);
-    w.index = cursor.GetU64();
-    w.begin = cursor.GetFiniteF64("window begin");
-    w.end = cursor.GetFiniteF64("window end");
-    w.response = QuantileSketch::Deserialize(cursor.GetString());
-    w.response_sum = cursor.GetFiniteF64("window response_sum");
-    w.arrivals = cursor.GetU64();
-    w.responses = cursor.GetU64();
-    w.good = cursor.GetU64();
-    w.bad = cursor.GetU64();
-    w.shed = cursor.GetU64();
-    w.engages = cursor.GetU64();
-    w.aborts = cursor.GetU64();
-    w.timeouts = cursor.GetU64();
-    w.has_queue_depth = cursor.GetBool();
-    w.queue_depth = cursor.GetF64();
-    w.has_budget = cursor.GetBool();
-    w.budget_level = cursor.GetF64();
-    w.evaluated_mask = cursor.GetU32();
-    w.violation_mask = cursor.GetU32();
-    w.alert_mask = cursor.GetU32();
+    w.index = r.GetU64();
+    w.begin = r.GetFiniteF64("window begin");
+    w.end = r.GetFiniteF64("window end");
+    w.response = QuantileSketch::Deserialize(r.GetString());
+    w.response_sum = r.GetFiniteF64("window response_sum");
+    w.arrivals = r.GetU64();
+    w.responses = r.GetU64();
+    w.good = r.GetU64();
+    w.bad = r.GetU64();
+    w.shed = r.GetU64();
+    w.engages = r.GetU64();
+    w.aborts = r.GetU64();
+    w.timeouts = r.GetU64();
+    w.has_queue_depth = r.GetBool();
+    w.queue_depth = r.GetF64();
+    w.has_budget = r.GetBool();
+    w.budget_level = r.GetF64();
+    w.evaluated_mask = r.GetU32();
+    w.violation_mask = r.GetU32();
+    w.alert_mask = r.GetU32();
     if (w.begin > w.end) {
-      throw std::invalid_argument("SloPipeline: window bounds inverted");
+      Malformed("window bounds inverted");
     }
     return w;
   };
   pipeline.open_ = get_window();
-  const uint64_t num_closed = cursor.GetCount(100, "slo closed windows");
+  const uint64_t num_closed = r.GetCount(100, "slo closed windows");
   pipeline.closed_.clear();
   uint64_t previous_index = 0;
   for (uint64_t i = 0; i < num_closed; ++i) {
     SloWindow w = get_window();
     if (i > 0 && w.index <= previous_index) {
-      throw std::invalid_argument("SloPipeline: window order violated");
+      Malformed("window order violated");
     }
     previous_index = w.index;
     pipeline.closed_.push_back(std::move(w));
   }
   if (!pipeline.closed_.empty() &&
       pipeline.open_.index <= pipeline.closed_.back().index) {
-    throw std::invalid_argument(
-        "SloPipeline: open window behind the closed ring");
+    Malformed("open window behind the closed ring");
   }
-  cursor.ExpectEnd();
+  r.ExpectEnd();
   return pipeline;
 }
 

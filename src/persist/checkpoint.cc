@@ -192,8 +192,8 @@ void SaveCheckpointToFile(const std::string& path,
     record.AddSection(kSectionRetry, retry_w.Take());
   }
   if (slo != nullptr) {
-    // Self-contained payload (src/obs/wire.h); the section CRC guards the
-    // bytes and SloPipeline::RestoreState fail-closes on their content.
+    // Self-contained payload; the section CRC guards the bytes and
+    // SloPipeline::RestoreState fail-closes on their content.
     record.AddSection(kSectionSlo, slo->SaveState());
   }
 
@@ -252,8 +252,6 @@ LoadedCheckpoint ParseCheckpoint(std::string bytes) {
     }
     std::optional<obs::SloPipeline> slo;
     if (record.Has(kSectionSlo)) {
-      // Throws std::invalid_argument on malformed bytes; the catch-all
-      // below converts it to the typed PersistError taxonomy.
       slo = obs::SloPipeline::RestoreState(record.Section(kSectionSlo));
     }
 

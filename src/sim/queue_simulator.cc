@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "src/common/thread_pool.h"
 #include "src/core/serve_loop.h"
 
 namespace msprint {
@@ -154,28 +153,6 @@ SimResult SimulateQueue(const SimConfig& config,
   SimServer server(config, n);
   server.Run();
   return server.Finish(config, trace_out);
-}
-
-ReplicatedResult SimulateReplicated(const SimConfig& config,
-                                    size_t replications, ThreadPool* pool) {
-  if (replications == 0) {
-    throw std::invalid_argument("need at least one replication");
-  }
-  std::vector<double> means(replications, 0.0);
-  ResolvePool(pool).ParallelFor(replications, [&](size_t r) {
-    SimConfig rep = config;
-    rep.seed = DeriveSeed(config.seed, r);
-    means[r] = SimulateQueue(rep).mean_response_time;
-  });
-  StreamingStats stats;
-  for (double m : means) {
-    stats.Add(m);
-  }
-  ReplicatedResult out;
-  out.mean_response_time = stats.mean();
-  out.coefficient_of_variation = stats.cov();
-  out.replication_means = std::move(means);
-  return out;
 }
 
 }  // namespace msprint

@@ -135,22 +135,6 @@ struct SimResult {
 SimResult SimulateQueue(const SimConfig& config,
                         std::vector<SimQuery>* trace_out = nullptr);
 
-// Runs `replications` independent replications (seeds derived from
-// config.seed) on `pool` (nullptr: the shared global pool) and returns the
-// grand mean response time. Replication r always uses seed
-// DeriveSeed(config.seed, r), so the result is identical for any pool
-// size.
-struct ReplicatedResult {
-  double mean_response_time = 0.0;
-  double coefficient_of_variation = 0.0;  // across replications
-  std::vector<double> replication_means;
-};
-
-class ThreadPool;
-ReplicatedResult SimulateReplicated(const SimConfig& config,
-                                    size_t replications,
-                                    ThreadPool* pool = nullptr);
-
 }  // namespace msprint
 
 #endif  // MSPRINT_SRC_SIM_QUEUE_SIMULATOR_H_

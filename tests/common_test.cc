@@ -216,13 +216,6 @@ TEST(StatsTest, AbsoluteRelativeError) {
   EXPECT_DOUBLE_EQ(AbsoluteRelativeError(5.0, 0.0), 5.0);
 }
 
-TEST(StatsTest, MedianAbsoluteRelativeError) {
-  const std::vector<double> predicted = {11, 22, 30};
-  const std::vector<double> observed = {10, 20, 30};
-  EXPECT_NEAR(MedianAbsoluteRelativeError(predicted, observed), 0.1, 1e-12);
-  EXPECT_THROW(MedianAbsoluteRelativeError({1.0}, {}), std::invalid_argument);
-}
-
 TEST(StatsTest, EmpiricalCdf) {
   EmpiricalCdf cdf({4.0, 1.0, 3.0, 2.0});
   EXPECT_DOUBLE_EQ(cdf.Probability(0.5), 0.0);
@@ -231,10 +224,6 @@ TEST(StatsTest, EmpiricalCdf) {
   EXPECT_DOUBLE_EQ(cdf.Probability(10.0), 1.0);
   EXPECT_DOUBLE_EQ(cdf.Value(0.0), 1.0);
   EXPECT_DOUBLE_EQ(cdf.Value(1.0), 4.0);
-  const auto at = cdf.AtThresholds({1.0, 3.0});
-  ASSERT_EQ(at.size(), 2u);
-  EXPECT_DOUBLE_EQ(at[0].second, 0.25);
-  EXPECT_DOUBLE_EQ(at[1].second, 0.75);
 }
 
 TEST(StatsTest, TailFraction) {
@@ -522,16 +511,10 @@ TEST(TableTest, AlignsColumnsAndCountsRows) {
   EXPECT_NE(out.find("25.0%"), std::string::npos);
 }
 
-TEST(TableTest, CsvOutput) {
-  TextTable table({"a", "b"});
-  table.AddRow({"1", "2"});
-  EXPECT_EQ(table.ToCsv(), "a,b\n1,2\n");
-}
-
 TEST(TableTest, ShortRowsArePadded) {
   TextTable table({"a", "b", "c"});
   table.AddRow({"only"});
-  EXPECT_EQ(table.ToCsv(), "a,b,c\nonly,,\n");
+  EXPECT_EQ(table.ToString(), "a     b  c  \n------------\nonly        \n");
 }
 
 // --------------------------------------------------------- thread pool

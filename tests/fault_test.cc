@@ -1,8 +1,8 @@
 // Tests for the deterministic fault-injection substrate (src/fault) and
 // its integration with the testbed and the self-healing OnlineAdvisor:
 // seed-stable fault plans, stateless per-query decisions, breaker
-// abort/lockout semantics, telemetry perturbation, and the storm
-// integration test pinning the graceful-degradation ladder's value.
+// abort/lockout semantics, and the storm integration test pinning the
+// graceful-degradation ladder's value.
 
 #include <gtest/gtest.h>
 
@@ -31,10 +31,6 @@ FaultPlanConfig StormPlanConfig() {
   config.flash_crowds_per_hour = 2.0;
   config.flash_crowd_duration_seconds = 120.0;
   config.flash_crowd_intensity = 4.0;
-  config.telemetry_drop_probability = 0.1;
-  config.telemetry_duplicate_probability = 0.1;
-  config.telemetry_reorder_probability = 0.2;
-  config.telemetry_reorder_delay_seconds = 50.0;
   return config;
 }
 
@@ -48,9 +44,6 @@ TEST(FaultPlanTest, DefaultConfigInjectsNothing) {
   const QueryFaults faults = plan.ForQuery(17);
   EXPECT_FALSE(faults.toggle_fails);
   EXPECT_DOUBLE_EQ(faults.service_multiplier, 1.0);
-  EXPECT_FALSE(faults.drop_arrival);
-  EXPECT_FALSE(faults.duplicate_completion);
-  EXPECT_DOUBLE_EQ(faults.reorder_arrival_delay, 0.0);
 }
 
 TEST(FaultPlanTest, PerQueryDecisionsAreStateless) {
@@ -66,13 +59,6 @@ TEST(FaultPlanTest, PerQueryDecisionsAreStateless) {
     const QueryFaults& first = forward[i];
     EXPECT_EQ(again.toggle_fails, first.toggle_fails) << i;
     EXPECT_EQ(again.service_multiplier, first.service_multiplier) << i;
-    EXPECT_EQ(again.drop_arrival, first.drop_arrival) << i;
-    EXPECT_EQ(again.drop_completion, first.drop_completion) << i;
-    EXPECT_EQ(again.duplicate_arrival, first.duplicate_arrival) << i;
-    EXPECT_EQ(again.duplicate_completion, first.duplicate_completion) << i;
-    EXPECT_EQ(again.reorder_arrival_delay, first.reorder_arrival_delay) << i;
-    EXPECT_EQ(again.reorder_completion_delay, first.reorder_completion_delay)
-        << i;
   }
 }
 
@@ -139,57 +125,6 @@ TEST(FaultPlanTest, FaultRatesMatchConfiguredProbabilities) {
   }
   EXPECT_NEAR(static_cast<double>(toggle_fails) / samples, 0.3, 0.02);
   EXPECT_NEAR(static_cast<double>(outliers) / samples, 0.1, 0.02);
-}
-
-// ------------------------------------------------------------- telemetry
-
-std::vector<TelemetryEvent> CleanTelemetry(size_t n) {
-  std::vector<TelemetryEvent> events;
-  for (size_t i = 0; i < n; ++i) {
-    events.push_back({2.0 * i, /*is_completion=*/false, 0.0, i});
-    events.push_back({2.0 * i + 1.0, /*is_completion=*/true, 10.0, i});
-  }
-  return events;
-}
-
-TEST(PerturbTelemetryTest, DeterministicAndDeliveredInOrder) {
-  const FaultPlan plan = FaultPlan::Generate(StormPlanConfig(), 1, 3600.0);
-  const std::vector<TelemetryEvent> clean = CleanTelemetry(500);
-
-  FaultTrace trace_a;
-  const auto a = PerturbTelemetry(plan, clean, &trace_a);
-  FaultTrace trace_b;
-  const auto b = PerturbTelemetry(plan, clean, &trace_b);
-
-  // Byte-identical replay.
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].time, b[i].time);
-    EXPECT_EQ(a[i].is_completion, b[i].is_completion);
-    EXPECT_EQ(a[i].query, b[i].query);
-  }
-  EXPECT_EQ(FormatFaultTrace(trace_a), FormatFaultTrace(trace_b));
-
-  // Something actually fired: drops and duplicates change the count, and
-  // reordering surfaces at least one stale timestamp.
-  EXPECT_NE(a.size(), clean.size());
-  EXPECT_FALSE(trace_a.empty());
-  bool out_of_order = false;
-  for (size_t i = 1; i < a.size() && !out_of_order; ++i) {
-    out_of_order = a[i].time < a[i - 1].time;
-  }
-  EXPECT_TRUE(out_of_order);
-}
-
-TEST(PerturbTelemetryTest, CleanPlanPassesThrough) {
-  const FaultPlan plan = FaultPlan::Generate(FaultPlanConfig{}, 1, 3600.0);
-  const std::vector<TelemetryEvent> clean = CleanTelemetry(50);
-  const auto out = PerturbTelemetry(plan, clean);
-  ASSERT_EQ(out.size(), clean.size());
-  for (size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i].time, clean[i].time);
-    EXPECT_EQ(out[i].query, clean[i].query);
-  }
 }
 
 TEST(FormatFaultTraceTest, OneLinePerEvent) {

@@ -1,4 +1,4 @@
-// Tests for the from-scratch ML stack: dataset plumbing, OLS recovery,
+// Tests for the from-scratch ML stack: dataset plumbing, leaf line fits,
 // variance-reduction trees with linear leaves, bagged forests, and the ANN.
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include "src/ml/linear_regression.h"
 #include "src/ml/neural_net.h"
 #include "src/ml/random_forest.h"
+#include "src/persist/persist.h"
 
 namespace msprint {
 namespace {
@@ -73,21 +74,6 @@ TEST(DatasetTest, Standardization) {
 
 // ------------------------------------------------------ linear regression
 
-TEST(LinearRegressionTest, RecoversExactLinearFunction) {
-  Dataset data({"a", "b"});
-  Rng rng(5);
-  for (int i = 0; i < 200; ++i) {
-    const double a = rng.NextDouble() * 10.0;
-    const double b = rng.NextDouble() * 5.0;
-    data.Add({a, b}, 3.0 * a - 2.0 * b + 7.0);
-  }
-  const auto model = LinearRegression::Fit(data);
-  EXPECT_NEAR(model.coefficients()[0], 3.0, 1e-6);
-  EXPECT_NEAR(model.coefficients()[1], -2.0, 1e-6);
-  EXPECT_NEAR(model.intercept(), 7.0, 1e-6);
-  EXPECT_NEAR(model.Predict({1.0, 1.0}), 8.0, 1e-6);
-}
-
 TEST(LinearRegressionTest, FitSimpleMatchesClosedForm) {
   const auto model =
       LinearRegression::FitSimple({1, 2, 3, 4}, {3, 5, 7, 9});  // y = 2x + 1
@@ -99,29 +85,6 @@ TEST(LinearRegressionTest, ConstantFeatureFallsBackToMean) {
   const auto model = LinearRegression::FitSimple({2, 2, 2}, {1, 2, 3});
   EXPECT_DOUBLE_EQ(model.coefficients()[0], 0.0);
   EXPECT_DOUBLE_EQ(model.intercept(), 2.0);
-}
-
-TEST(LinearRegressionTest, DegenerateDesignPredictsMean) {
-  Dataset data({"a", "b"});
-  // b is a copy of a: singular normal equations (up to the ridge).
-  for (int i = 0; i < 10; ++i) {
-    data.Add({1.0, 1.0}, 5.0);
-  }
-  const auto model = LinearRegression::Fit(data);
-  EXPECT_NEAR(model.Predict({1.0, 1.0}), 5.0, 1e-6);
-}
-
-TEST(SolverTest, SolvesKnownSystem) {
-  // [2 1; 1 3] x = [5; 10] -> x = [1, 3].
-  const auto x = SolveLinearSystem({2, 1, 1, 3}, {5, 10}, 2);
-  EXPECT_NEAR(x[0], 1.0, 1e-12);
-  EXPECT_NEAR(x[1], 3.0, 1e-12);
-}
-
-TEST(SolverTest, SingularThrows) {
-  EXPECT_THROW(SolveLinearSystem({1, 1, 1, 1}, {1, 2}, 2),
-               std::runtime_error);
-  EXPECT_THROW(SolveLinearSystem({1.0}, {1, 2}, 2), std::invalid_argument);
 }
 
 // ------------------------------------------------------------------ trees
@@ -232,20 +195,24 @@ TEST(RandomForestTest, BeatsSingleTreeOnNoisyData) {
   EXPECT_LT(forest_se, tree_se);
 }
 
-TEST(RandomForestTest, VotesAverageToPrediction) {
+TEST(RandomForestTest, PredictionAveragesTheTrees) {
   const Dataset train = StepFunctionData(300, 11);
   RandomForestConfig config;
   config.num_trees = 10;
   config.anchor_feature = 1;
   const auto forest = RandomForest::Fit(train, config);
   EXPECT_EQ(forest.TreeCount(), 10u);
+  // A serialized forest is its tree count followed by each tree.
+  persist::Writer w;
+  forest.Serialize(w);
+  persist::Reader r(w.bytes());
+  ASSERT_EQ(r.GetU64(), 10u);
   const std::vector<double> features = {5.0, 2.0};
-  const auto votes = forest.PredictPerTree(features);
-  ASSERT_EQ(votes.size(), 10u);
   double mean = 0.0;
-  for (double v : votes) {
-    mean += v;
+  for (int t = 0; t < 10; ++t) {
+    mean += DecisionTree::Deserialize(r, 2).Predict(features);
   }
+  r.ExpectEnd();
   mean /= 10.0;
   EXPECT_NEAR(forest.Predict(features), mean, 1e-12);
 }

@@ -12,7 +12,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "src/common/thread_pool.h"
 #include "src/sim/queue_simulator.h"
 #include "src/sim/tick_simulator.h"
 
@@ -349,17 +348,6 @@ TEST(SimBookkeepingTest, DeterministicAcrossRuns) {
   const SimResult a = SimulateQueue(config);
   const SimResult b = SimulateQueue(config);
   EXPECT_DOUBLE_EQ(a.mean_response_time, b.mean_response_time);
-}
-
-TEST(SimBookkeepingTest, ReplicationsReduceVariance) {
-  const ExponentialDistribution service(1.0);
-  SimConfig config = NoSprintConfig(service, 0.8, 3000);
-  ThreadPool pool(4);
-  const ReplicatedResult replicated = SimulateReplicated(config, 8, &pool);
-  EXPECT_EQ(replicated.replication_means.size(), 8u);
-  EXPECT_GT(replicated.coefficient_of_variation, 0.0);
-  EXPECT_NEAR(replicated.mean_response_time, 1.0 / (1.0 - 0.8),
-              0.15 * 1.0 / (1.0 - 0.8));
 }
 
 // ------------------------------------------------------- trace replay

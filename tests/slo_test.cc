@@ -24,6 +24,7 @@
 #include "src/obs/sketch.h"
 #include "src/obs/slo.h"
 #include "src/robust/storm.h"
+#include "src/persist/persist.h"
 #include "src/sim/queue_simulator.h"
 #include "src/testbed/testbed.h"
 #include "src/workload/workload.h"
@@ -182,11 +183,11 @@ TEST(QuantileSketchTest, DeserializeFailsClosedOnCorruption) {
   QuantileSketch sketch(0.01);
   for (int i = 1; i <= 64; ++i) sketch.Insert(0.25 * i);
   const std::string bytes = sketch.Serialize();
-  EXPECT_THROW(QuantileSketch::Deserialize(""), std::invalid_argument);
+  EXPECT_THROW(QuantileSketch::Deserialize(""), persist::PersistError);
   EXPECT_THROW(QuantileSketch::Deserialize(bytes.substr(0, bytes.size() / 2)),
-               std::invalid_argument);
+               persist::PersistError);
   EXPECT_THROW(QuantileSketch::Deserialize(bytes + "x"),
-               std::invalid_argument);
+               persist::PersistError);
   // Single-byte flips must never produce a silently-wrong sketch: either
   // the parse throws or the reserialized bytes equal the mutated input.
   std::mt19937_64 rng(13);
@@ -197,7 +198,7 @@ TEST(QuantileSketchTest, DeserializeFailsClosedOnCorruption) {
     try {
       const QuantileSketch back = QuantileSketch::Deserialize(mutated);
       EXPECT_EQ(back.Serialize(), mutated);
-    } catch (const std::invalid_argument&) {
+    } catch (const persist::PersistError&) {
       // fail-closed: fine
     }
   }
@@ -615,11 +616,79 @@ TEST(SloStateTest, RestoreFailsClosedOnCorruption) {
   SloPipeline pipeline(SmallConfig());
   FeedDeterministic(pipeline, 5);
   const std::string bytes = pipeline.SaveState();
-  EXPECT_THROW(SloPipeline::RestoreState(""), std::invalid_argument);
+  EXPECT_THROW(SloPipeline::RestoreState(""), persist::PersistError);
   EXPECT_THROW(SloPipeline::RestoreState(bytes.substr(0, bytes.size() - 3)),
-               std::invalid_argument);
+               persist::PersistError);
   EXPECT_THROW(SloPipeline::RestoreState(bytes + "zz"),
-               std::invalid_argument);
+               persist::PersistError);
+}
+
+// --- pinned wire bytes --------------------------------------------------
+
+// Sketch and pipeline state are persisted inside checkpoints, so their
+// bytes are an on-disk format. These fingerprints pin that format: a codec
+// change that moves a single byte of either payload fails here.
+QuantileSketch PinnedSketch() {
+  QuantileSketch sketch(0.01);
+  for (int i = 1; i <= 64; ++i) sketch.Insert(0.25 * i);
+  return sketch;
+}
+
+// persist_test's checkpoint fixture: one p99 objective and one queue-depth
+// anomaly detector over 30 s windows.
+SloPipeline PinnedPipeline() {
+  SloConfig config;
+  config.window_seconds = 30.0;
+  SloObjective objective;
+  objective.signal = SloSignal::kP99;
+  objective.op = SloOp::kLt;
+  objective.threshold = 60.0;
+  objective.budget = 0.2;
+  config.objectives.push_back(objective);
+  SloAnomalyConfig anomaly;
+  anomaly.signal = SloSignal::kQueueDepth;
+  anomaly.warmup_windows = 3;
+  config.anomalies.push_back(anomaly);
+
+  SloPipeline pipeline(config);
+  for (int i = 0; i < 70; ++i) {
+    const double t = 7.0 * i;
+    pipeline.OnArrival(t);
+    pipeline.OnResponse(t + 3.0, 40.0 + (i * 37) % 60, i % 5 != 0);
+    pipeline.OnQueueDepth(t + 4.0, 1.0 + i % 5);
+  }
+  return pipeline;
+}
+
+TEST(WireFormatTest, SketchBytesArePinned) {
+  EXPECT_EQ(persist::Fingerprint64(PinnedSketch().Serialize()),
+            0x1649d5cdec5554f2ULL);
+}
+
+TEST(WireFormatTest, SloStateBytesArePinned) {
+  EXPECT_EQ(persist::Fingerprint64(PinnedPipeline().SaveState()),
+            0x04c7dc88110da1dfULL);
+}
+
+// The checkpoint's section CRC catches storage corruption, but the payload
+// must not trust its own content either: flip every byte once (the bit
+// drawn from a seeded stream) under no checksum at all. Each restore
+// either throws PersistError or yields a pipeline that re-serializes to
+// exactly the mutated bytes — never a silently different state, and never
+// an exception outside the persist taxonomy.
+TEST(SloStateTest, RestoreFailsClosedOnByteFlips) {
+  const std::string bytes = PinnedPipeline().SaveState();
+  std::mt19937_64 rng(31);
+  for (size_t pos = 0; pos < bytes.size(); ++pos) {
+    std::string mutated = bytes;
+    mutated[pos] = static_cast<char>(mutated[pos] ^ (1u << (rng() % 8)));
+    try {
+      EXPECT_EQ(SloPipeline::RestoreState(mutated).SaveState(), mutated)
+          << "flip at byte " << pos;
+    } catch (const persist::PersistError&) {
+      // fail-closed: fine
+    }
+  }
 }
 
 // --- testbed integration ------------------------------------------------

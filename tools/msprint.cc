@@ -571,15 +571,13 @@ int CmdFaults(const Flags& flags) {
   }
   std::cout << FormatFaultTrace(trace.fault_trace);
 
-  size_t per_kind[8] = {};
-  for (const FaultEvent& event : trace.fault_trace) {
-    ++per_kind[static_cast<size_t>(event.kind)];
-  }
   std::cout << "# faults: " << trace.fault_trace.size();
-  for (size_t k = 0; k < 8; ++k) {
-    if (per_kind[k] > 0) {
-      std::cout << " " << ToString(static_cast<FaultKind>(k)) << "="
-                << per_kind[k];
+  for (const FaultKind kind : kAllFaultKinds) {
+    const auto count = std::count_if(
+        trace.fault_trace.begin(), trace.fault_trace.end(),
+        [kind](const FaultEvent& event) { return event.kind == kind; });
+    if (count > 0) {
+      std::cout << " " << ToString(kind) << "=" << count;
     }
   }
   std::cout << "\n# mean response time: " << trace.mean_response_time
