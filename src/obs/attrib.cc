@@ -82,9 +82,9 @@ AttributionReport Attribute(const std::vector<QuerySpan>& spans,
         agg.max_ticks = std::max(agg.max_ticks, ticks);
       }
       if (ticks >= 0) {
-        agg.added_seconds.Record(SecondsFromTicks(ticks));
+        agg.added_seconds.Insert(SecondsFromTicks(ticks));
       } else {
-        agg.saved_seconds.Record(SecondsFromTicks(-ticks));
+        agg.saved_seconds.Insert(SecondsFromTicks(-ticks));
       }
     }
     first = false;
@@ -217,10 +217,10 @@ std::string FormatAttribution(const AttributionReport& report,
   // obs-diff's approx-field classification) matches stats exports exactly.
   MetricsSnapshot hists;
   for (size_t i = 0; i < kNumSpanComponents; ++i) {
-    hists.histograms.push_back(SummarizeLogHistogram(
+    hists.histograms.push_back(SummarizeSketch(
         prefix + "/added/" + ComponentName(i) + "_seconds",
         report.components[i].added_seconds));
-    hists.histograms.push_back(SummarizeLogHistogram(
+    hists.histograms.push_back(SummarizeSketch(
         prefix + "/saved/" + ComponentName(i) + "_seconds",
         report.components[i].saved_seconds));
   }
@@ -304,8 +304,10 @@ std::string FormatAttributionJson(const AttributionReport& report) {
     out += ",\"components\":{";
     for (size_t i = 0; i < kNumSpanComponents; ++i) {
       if (i > 0) out += ",";
-      out += "\"" + ComponentName(i) +
-             "\":" + FormatTicksSeconds(span.components[i]);
+      out += '"';
+      out += ComponentName(i);
+      out += "\":";
+      out += FormatTicksSeconds(span.components[i]);
     }
     out += "}}";
   }

@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/stats.h"
 #include "src/obs/metrics.h"
 #include "src/obs/span.h"
 
@@ -44,9 +43,10 @@ struct ComponentAggregate {
   uint64_t critical = 0;
   // Magnitude histograms in seconds: time the component *added* (positive
   // values) and time it *saved* (absolute value of negative values — in
-  // practice only kSprintDelta saves time).
-  LogHistogram added_seconds;
-  LogHistogram saved_seconds;
+  // practice only kSprintDelta saves time), on the registry's grid so
+  // explain and stats `hist` lines share buckets.
+  QuantileSketch added_seconds{kRegistryAccuracy};
+  QuantileSketch saved_seconds{kRegistryAccuracy};
 };
 
 struct AttributionReport {

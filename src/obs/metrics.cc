@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <thread>
 
 namespace msprint {
@@ -69,6 +70,32 @@ void AtomicMaxDouble(std::atomic<uint64_t>& slot, double v) {
   }
 }
 
+// Shared index function of every registry histogram.
+const QuantileSketch& RegistryGrid() {
+  static const QuantileSketch grid(kRegistryAccuracy);
+  return grid;
+}
+
+// Appends the non-empty buckets as `label:count` pairs, labels wrapped in
+// `quote`: the zero bucket is `z`, log buckets are their signed index.
+void AppendBuckets(std::string& out, const HistogramSnapshot& h,
+                   const char* quote) {
+  char buf[64];
+  const char* separator = "";
+  if (h.zero_count > 0) {
+    std::snprintf(buf, sizeof(buf), "%sz%s:%" PRIu64, quote, quote,
+                  h.zero_count);
+    out += buf;
+    separator = ",";
+  }
+  for (const auto& [index, bucket_count] : h.nonzero_buckets) {
+    std::snprintf(buf, sizeof(buf), "%s%s%" PRId32 "%s:%" PRIu64, separator,
+                  quote, index, quote, bucket_count);
+    out += buf;
+    separator = ",";
+  }
+}
+
 }  // namespace
 
 std::string StableDouble(double value) {
@@ -108,7 +135,7 @@ double Gauge::Value() const { return value_.load(std::memory_order_relaxed); }
 Histogram::Histogram(size_t shards, Determinism determinism)
     : determinism_(determinism),
       shards_(shards),
-      buckets_(shards * LogHistogram::NumBuckets()),
+      cells_(shards * kCells),
       rejected_(shards),
       min_bits_(DoubleBits(std::numeric_limits<double>::infinity())),
       max_bits_(DoubleBits(-std::numeric_limits<double>::infinity())) {}
@@ -119,81 +146,61 @@ void Histogram::Record(double value) {
     rejected_[shard].fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  buckets_[shard * LogHistogram::NumBuckets() + LogHistogram::BucketIndex(
-               value)]
-      .fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
+  size_t cell = 0;  // the zero bucket
+  if (value >= QuantileSketch::kMinTracked) {
+    const int32_t index = std::clamp(RegistryGrid().Index(value),
+                                     kLowestIndex, kHighestIndex);
+    cell = 1 + static_cast<size_t>(index - kLowestIndex);
+  }
+  cells_[shard * kCells + cell].fetch_add(1, std::memory_order_relaxed);
   AtomicMinDouble(min_bits_, value);
   AtomicMaxDouble(max_bits_, value);
 }
 
-LogHistogram Histogram::Merged() const {
-  LogHistogram merged;
-  for (size_t bucket = 0; bucket < LogHistogram::NumBuckets(); ++bucket) {
+QuantileSketch Histogram::Merged() const {
+  QuantileSketch merged(kRegistryAccuracy);
+  for (size_t cell = 0; cell < kCells; ++cell) {
     uint64_t total = 0;
     for (size_t shard = 0; shard < shards_; ++shard) {
-      total += buckets_[shard * LogHistogram::NumBuckets() + bucket].load(
-          std::memory_order_relaxed);
+      total += cells_[shard * kCells + cell].load(std::memory_order_relaxed);
     }
-    if (total > 0) {
-      merged.InjectBucketCount(bucket, total);
+    if (total == 0) {
+      continue;
     }
+    if (cell == 0) {
+      merged.zero_count_ = total;
+    } else {
+      merged.buckets_.emplace_hint(
+          merged.buckets_.end(),
+          kLowestIndex + static_cast<int32_t>(cell - 1), total);
+    }
+    merged.count_ += total;
   }
-  uint64_t rejected = 0;
   for (const auto& cell : rejected_) {
-    rejected += cell.load(std::memory_order_relaxed);
+    merged.rejected_ += cell.load(std::memory_order_relaxed);
   }
-  merged.InjectRejected(rejected);
-  if (merged.count() > 0) {
-    merged.InjectBounds(BitsDouble(min_bits_.load(std::memory_order_relaxed)),
-                        BitsDouble(max_bits_.load(std::memory_order_relaxed)));
+  if (merged.count_ > 0) {
+    merged.has_bounds_ = true;
+    merged.min_ = BitsDouble(min_bits_.load(std::memory_order_relaxed));
+    merged.max_ = BitsDouble(max_bits_.load(std::memory_order_relaxed));
   }
   return merged;
 }
 
-double HistogramSnapshot::Quantile(double q) const {
-  if (count == 0) {
-    return 0.0;
-  }
-  const uint64_t target = QuantileRankTarget(count, q);
-  uint64_t cumulative = 0;
-  for (const auto& [bucket, bucket_count] : nonzero_buckets) {
-    cumulative += bucket_count;
-    if (cumulative >= target) {
-      // Same representative rule as LogHistogram::BucketRepresentative,
-      // evaluated from the snapshot's retained envelope.
-      double value;
-      if (bucket == 0) {
-        value = min;
-      } else if (bucket >= LogHistogram::NumBuckets() - 1) {
-        value = max;
-      } else {
-        value = std::sqrt(LogHistogram::BucketLowerBound(bucket) *
-                          LogHistogram::BucketUpperBound(bucket));
-      }
-      return std::clamp(value, min, max);
-    }
-  }
-  return max;
-}
-
-HistogramSnapshot SummarizeLogHistogram(std::string name,
-                                        const LogHistogram& histogram) {
+HistogramSnapshot SummarizeSketch(std::string name,
+                                  const QuantileSketch& sketch) {
   HistogramSnapshot h;
   h.name = std::move(name);
-  h.count = histogram.count();
-  h.rejected = histogram.rejected();
-  h.min = histogram.min();
-  h.max = histogram.max();
-  h.approx_mean = histogram.ApproxMean();
-  for (size_t i = 0; i < histogram.buckets().size(); ++i) {
-    if (histogram.buckets()[i] > 0) {
-      h.nonzero_buckets.emplace_back(i, histogram.buckets()[i]);
-    }
-  }
-  h.p50 = h.Quantile(0.50);
-  h.p90 = h.Quantile(0.90);
-  h.p99 = h.Quantile(0.99);
+  h.count = sketch.count();
+  h.rejected = sketch.rejected();
+  h.min = sketch.min();
+  h.max = sketch.max();
+  h.approx_mean = sketch.ApproxMean();
+  h.p50 = sketch.Quantile(0.50);
+  h.p90 = sketch.Quantile(0.90);
+  h.p99 = sketch.Quantile(0.99);
+  h.zero_count = sketch.zero_count();
+  h.nonzero_buckets.assign(sketch.buckets().begin(), sketch.buckets().end());
   return h;
 }
 
@@ -250,7 +257,7 @@ MetricsSnapshot MetricsRegistry::Snapshot(bool include_timing) const {
       continue;
     }
     snapshot.histograms.push_back(
-        SummarizeLogHistogram(name, histogram->Merged()));
+        SummarizeSketch(name, histogram->Merged()));
   }
   return snapshot;
 }
@@ -277,11 +284,7 @@ std::string MetricsSnapshot::ToText() const {
            " mean~" + StableDouble(h.approx_mean) + " p50~" +
            StableDouble(h.p50) + " p90~" + StableDouble(h.p90) + " p99~" +
            StableDouble(h.p99) + " buckets=";
-    for (size_t i = 0; i < h.nonzero_buckets.size(); ++i) {
-      std::snprintf(buf, sizeof(buf), "%s%zu:%" PRIu64, i == 0 ? "" : ",",
-                    h.nonzero_buckets[i].first, h.nonzero_buckets[i].second);
-      out += buf;
-    }
+    AppendBuckets(out, h, "");
     out += "\n";
   }
   return out;
@@ -313,12 +316,7 @@ std::string MetricsSnapshot::ToJson() const {
            StableDouble(h.approx_mean) + ",\"p50\":" + StableDouble(h.p50) +
            ",\"p90\":" + StableDouble(h.p90) + ",\"p99\":" +
            StableDouble(h.p99) + ",\"buckets\":{";
-    for (size_t b = 0; b < h.nonzero_buckets.size(); ++b) {
-      std::snprintf(buf, sizeof(buf), "%s\"%zu\":%" PRIu64,
-                    b == 0 ? "" : ",", h.nonzero_buckets[b].first,
-                    h.nonzero_buckets[b].second);
-      out += buf;
-    }
+    AppendBuckets(out, h, "\"");
     out += "}}";
   }
   out += "}}";

@@ -29,7 +29,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/stats.h"
+#include "src/obs/sketch.h"
 
 namespace msprint {
 namespace obs {
@@ -74,18 +74,30 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-// Sharded log-bucketed histogram: per-shard atomic bucket counts (the
-// bucket math is LogHistogram's), global atomic min/max via CAS. All
-// reductions are order-independent, so the merged summary is deterministic
-// even when samples arrive from racing workers.
+// Relative accuracy of every registry histogram and span-attribution
+// sketch: gamma = 10^(1/5), i.e. five buckets per decade.
+inline constexpr double kRegistryAccuracy = 0.22627364030628608;
+
+// Sharded log-bucketed histogram: per-shard atomic cells indexed by
+// QuantileSketch::Index at kRegistryAccuracy, global atomic min/max via
+// CAS. All reductions are order-independent, so the merged sketch is
+// deterministic even when samples arrive from racing workers.
 class Histogram {
  public:
+  // Cells per shard: the zero bucket plus sketch indices
+  // kLowestIndex..kHighestIndex, which cover [1e-9, 1e12] with one bucket
+  // to spare. Larger values saturate into the top cell (count, min and
+  // max stay exact).
+  static constexpr int32_t kLowestIndex = -44;
+  static constexpr int32_t kHighestIndex = 61;
+  static constexpr size_t kCells = 2 + kHighestIndex - kLowestIndex;
+
   // Records one sample; NaN / negative / non-finite values are rejected
-  // (counted separately), mirroring LogHistogram::Record.
+  // (counted separately), as QuantileSketch::Insert does.
   void Record(double value);
 
-  // Merges every shard (in slot order) into a summarizable LogHistogram.
-  LogHistogram Merged() const;
+  // Merges every shard (in slot order) into a sketch at kRegistryAccuracy.
+  QuantileSketch Merged() const;
 
   Determinism determinism() const { return determinism_; }
 
@@ -95,9 +107,8 @@ class Histogram {
 
   const Determinism determinism_;
   const size_t shards_;                         // power of two
-  std::vector<std::atomic<uint64_t>> buckets_;  // shards_ * NumBuckets()
+  std::vector<std::atomic<uint64_t>> cells_;    // shards_ * kCells
   std::vector<std::atomic<uint64_t>> rejected_;  // per shard
-  std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> min_bits_;  // bit pattern of the running min
   std::atomic<uint64_t> max_bits_;  // bit pattern of the running max
 };
@@ -113,21 +124,17 @@ struct HistogramSnapshot {
   double p50 = 0.0;
   double p90 = 0.0;
   double p99 = 0.0;
-  std::vector<std::pair<size_t, uint64_t>> nonzero_buckets;
-
-  // Nearest-rank quantile over the recorded buckets, bit-identical to
-  // LogHistogram::ApproxQuantile on the histogram this snapshot came
-  // from. The single quantile path shared by exports, span attribution
-  // and the SLO engine.
-  double Quantile(double q) const;
+  // Samples in the sketch's zero bucket (rendered as bucket `z`), then the
+  // non-empty log buckets in index order.
+  uint64_t zero_count = 0;
+  std::vector<std::pair<int32_t, uint64_t>> nonzero_buckets;
 };
 
-// Summarizes a LogHistogram into an exported HistogramSnapshot — the same
-// summary Snapshot() computes for registry histograms. Reused by the span
-// attribution layer so its `hist` lines render byte-identically to
-// registry exports (and parse under the same obs-diff grammar).
-HistogramSnapshot SummarizeLogHistogram(std::string name,
-                                        const LogHistogram& histogram);
+// Summarizes a sketch into an exported HistogramSnapshot: registry
+// exports, span attribution and the SLO summary all render their `hist`
+// lines through it (and parse under the same obs-diff grammar).
+HistogramSnapshot SummarizeSketch(std::string name,
+                                  const QuantileSketch& sketch);
 
 // A point-in-time export of a registry, sorted by metric name. Rendering
 // is byte-stable: identical metric values produce identical bytes.

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "src/obs/metrics.h"
 #include "src/persist/codec.h"
 
 namespace msprint {
@@ -42,9 +41,7 @@ bool QuantileSketch::Insert(double value) {
   if (value < kMinTracked) {
     ++zero_count_;
   } else {
-    const int32_t index =
-        static_cast<int32_t>(std::ceil(std::log(value) * inv_log_gamma_));
-    ++buckets_[index];
+    ++buckets_[Index(value)];
   }
   ++count_;
   if (!has_bounds_) {
@@ -56,6 +53,10 @@ bool QuantileSketch::Insert(double value) {
     max_ = std::max(max_, value);
   }
   return true;
+}
+
+int32_t QuantileSketch::Index(double value) const {
+  return static_cast<int32_t>(std::ceil(std::log(value) * inv_log_gamma_));
 }
 
 void QuantileSketch::Merge(const QuantileSketch& other) {
@@ -100,14 +101,28 @@ double QuantileSketch::Quantile(double q) const {
   for (const auto& [index, bucket_count] : buckets_) {
     cumulative += bucket_count;
     if (cumulative >= target) {
-      // Midpoint representative of the log bucket
-      // (gamma^(i-1), gamma^i]: 2 * gamma^i / (gamma + 1).
-      const double representative =
-          2.0 * std::pow(gamma_, static_cast<double>(index)) / (gamma_ + 1.0);
-      return std::min(std::max(representative, min_), max_);
+      return Representative(index);
     }
   }
   return max_;
+}
+
+double QuantileSketch::ApproxMean() const {
+  if (count_ == 0) {
+    return 0.0;
+  }
+  // The zero bucket is represented by min_, as in Quantile.
+  double sum = static_cast<double>(zero_count_) * min_;
+  for (const auto& [index, bucket_count] : buckets_) {
+    sum += static_cast<double>(bucket_count) * Representative(index);
+  }
+  return sum / static_cast<double>(count_);
+}
+
+double QuantileSketch::Representative(int32_t index) const {
+  const double representative =
+      2.0 * std::pow(gamma_, static_cast<double>(index)) / (gamma_ + 1.0);
+  return std::min(std::max(representative, min_), max_);
 }
 
 std::string QuantileSketch::Serialize() const {

@@ -15,7 +15,7 @@ namespace obs {
 namespace {
 
 constexpr uint32_t kSloMagic = 0x314F4C53;  // "SLO1"
-constexpr uint8_t kSloVersion = 1;
+constexpr uint8_t kSloVersion = 2;
 
 [[noreturn]] void Malformed(const std::string& what) {
   throw persist::PersistError(persist::ErrorCode::kFormat,
@@ -83,6 +83,16 @@ bool Violates(double value, SloOp op, double threshold) {
       return !(value >= threshold);
   }
   return false;
+}
+
+// Reads a nested sketch payload. Every sketch in the pipeline merges
+// into the run-wide one, so each must carry the configured accuracy.
+QuantileSketch ReadSketch(persist::Reader& r, const SloConfig& config) {
+  QuantileSketch sketch = QuantileSketch::Deserialize(r.GetString());
+  if (sketch.relative_accuracy() != config.sketch_relative_accuracy) {
+    Malformed("sketch accuracy differs from the config");
+  }
+  return sketch;
 }
 
 SloWindow MakeWindow(uint64_t index, const SloConfig& config) {
@@ -340,7 +350,8 @@ SloPipeline::SloPipeline(SloConfig config)
     : config_(std::move(config)),
       open_(config_.sketch_relative_accuracy),
       objective_states_(config_.objectives.size()),
-      anomaly_states_(config_.anomalies.size()) {
+      anomaly_states_(config_.anomalies.size()),
+      run_response_(config_.sketch_relative_accuracy) {
   ValidateConfig(config_);
   open_ = MakeWindow(0, config_);
 }
@@ -363,10 +374,8 @@ void SloPipeline::OnArrival(double now) {
 
 void SloPipeline::OnResponse(double now, double response_seconds, bool good) {
   Advance(now);
-  open_.response.Insert(response_seconds);
-  if (std::isfinite(response_seconds) && response_seconds >= 0.0) {
+  if (open_.response.Insert(response_seconds)) {
     open_.response_sum += response_seconds;
-    run_response_.Record(response_seconds);
   }
   ++open_.responses;
   if (good) {
@@ -509,6 +518,7 @@ void SloPipeline::EvaluateAnomalies(const SloWindow& window) {
 
 void SloPipeline::CloseWindow() {
   EvaluateObjectives(open_);
+  run_response_.Merge(open_.response);
   closed_.push_back(std::move(open_));
   SloWindow& window = closed_.back();
   ++windows_closed_;
@@ -709,11 +719,14 @@ std::string SloPipeline::FormatSummary() const {
          std::to_string(windows_dropped_) + " alert_windows " +
          std::to_string(alert_windows_) + " paging_fraction " +
          StableDouble(PagingFraction()) + "\n";
-  // The run-wide response histogram renders through the same snapshot /
-  // Quantile path as registry exports (obs-diff-parsable `hist` line).
+  // The run-wide response sketch, open window included, renders through
+  // the same summarizer as registry exports (obs-diff-parsable `hist`
+  // line).
+  QuantileSketch response = run_response_;
+  response.Merge(open_.response);
   MetricsSnapshot snapshot;
   snapshot.histograms.push_back(
-      SummarizeLogHistogram("slo/response_time_seconds", run_response_));
+      SummarizeSketch("slo/response_time_seconds", response));
   out += snapshot.ToText();
   for (size_t i = 0; i < config_.objectives.size(); ++i) {
     const SloObjective& objective = config_.objectives[i];
@@ -822,22 +835,8 @@ std::string SloPipeline::SaveState() const {
     w.PutF64(state.ewma_var);
     w.PutU64(state.anomalies);
   }
-  // --- run-wide response histogram ---
-  w.PutU64(run_response_.rejected());
-  w.PutBool(run_response_.count() > 0);
-  w.PutF64(run_response_.min());
-  w.PutF64(run_response_.max());
-  uint64_t nonzero = 0;
-  for (uint64_t c : run_response_.buckets()) {
-    nonzero += c > 0 ? 1 : 0;
-  }
-  w.PutU64(nonzero);
-  for (size_t i = 0; i < run_response_.buckets().size(); ++i) {
-    if (run_response_.buckets()[i] > 0) {
-      w.PutU64(i);
-      w.PutU64(run_response_.buckets()[i]);
-    }
-  }
+  // --- run-wide response sketch ---
+  w.PutString(run_response_.Serialize());
   // --- windows: open first, then the closed ring oldest-first ---
   auto put_window = [&w](const SloWindow& window) {
     w.PutU64(window.index);
@@ -942,40 +941,13 @@ SloPipeline SloPipeline::RestoreState(std::string_view bytes) {
     state.ewma_var = r.GetFiniteF64("anomaly ewma var");
     state.anomalies = r.GetU64();
   }
-  const uint64_t rejected = r.GetU64();
-  const bool has_response = r.GetBool();
-  const double response_min = r.GetF64();
-  const double response_max = r.GetF64();
-  const uint64_t nonzero = r.GetCount(16, "slo histogram buckets");
-  uint64_t previous_bucket = 0;
-  for (uint64_t i = 0; i < nonzero; ++i) {
-    const uint64_t bucket = r.GetU64();
-    const uint64_t count = r.GetU64();
-    if (bucket >= LogHistogram::NumBuckets() ||
-        (i > 0 && bucket <= previous_bucket) || count == 0) {
-      Malformed("bad histogram bucket");
-    }
-    previous_bucket = bucket;
-    pipeline.run_response_.InjectBucketCount(static_cast<size_t>(bucket),
-                                             count);
-  }
-  pipeline.run_response_.InjectRejected(rejected);
-  if (has_response) {
-    if (!std::isfinite(response_min) || !std::isfinite(response_max) ||
-        response_min < 0.0 || response_min > response_max ||
-        pipeline.run_response_.count() == 0) {
-      Malformed("bad histogram bounds");
-    }
-    pipeline.run_response_.InjectBounds(response_min, response_max);
-  } else if (pipeline.run_response_.count() != 0) {
-    Malformed("histogram counts without bounds");
-  }
+  pipeline.run_response_ = ReadSketch(r, pipeline.config_);
   auto get_window = [&r, &pipeline]() {
     SloWindow w(pipeline.config_.sketch_relative_accuracy);
     w.index = r.GetU64();
     w.begin = r.GetFiniteF64("window begin");
     w.end = r.GetFiniteF64("window end");
-    w.response = QuantileSketch::Deserialize(r.GetString());
+    w.response = ReadSketch(r, pipeline.config_);
     w.response_sum = r.GetFiniteF64("window response_sum");
     w.arrivals = r.GetU64();
     w.responses = r.GetU64();

@@ -21,7 +21,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/common/stats.h"
 #include "src/obs/sketch.h"
 
 namespace msprint {
@@ -229,9 +228,9 @@ class SloPipeline {
   uint64_t windows_dropped_ = 0;
   uint64_t alert_windows_ = 0;
   bool finished_ = false;
-  // Run-wide response-time histogram, summarized through the shared
-  // HistogramSnapshot::Quantile path in FormatSummary.
-  LogHistogram run_response_;
+  // Run-wide response-time sketch over every closed window; each window's
+  // sketch folds in when it closes. FormatSummary adds the open window.
+  QuantileSketch run_response_;
 };
 
 }  // namespace obs

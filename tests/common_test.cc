@@ -233,120 +233,6 @@ TEST(StatsTest, TailFraction) {
   EXPECT_DOUBLE_EQ(TailFraction({}, 1.0), 0.0);
 }
 
-TEST(LogHistogramTest, EmptyHistogramIsAllZeros) {
-  const LogHistogram hist;
-  EXPECT_EQ(hist.count(), 0u);
-  EXPECT_EQ(hist.rejected(), 0u);
-  EXPECT_DOUBLE_EQ(hist.min(), 0.0);
-  EXPECT_DOUBLE_EQ(hist.max(), 0.0);
-  EXPECT_DOUBLE_EQ(hist.ApproxMean(), 0.0);
-  EXPECT_DOUBLE_EQ(hist.ApproxQuantile(0.5), 0.0);
-}
-
-TEST(LogHistogramTest, SingleSampleIsItsOwnSummary) {
-  LogHistogram hist;
-  ASSERT_TRUE(hist.Record(0.042));
-  EXPECT_EQ(hist.count(), 1u);
-  EXPECT_DOUBLE_EQ(hist.min(), 0.042);
-  EXPECT_DOUBLE_EQ(hist.max(), 0.042);
-  // One sample: every representative is clamped to the observed range, so
-  // mean and all quantiles equal the sample exactly.
-  EXPECT_DOUBLE_EQ(hist.ApproxMean(), 0.042);
-  EXPECT_DOUBLE_EQ(hist.ApproxQuantile(0.0), 0.042);
-  EXPECT_DOUBLE_EQ(hist.ApproxQuantile(0.99), 0.042);
-}
-
-TEST(LogHistogramTest, RejectsNaNNegativeAndInfinite) {
-  LogHistogram hist;
-  EXPECT_FALSE(hist.Record(std::numeric_limits<double>::quiet_NaN()));
-  EXPECT_FALSE(hist.Record(-0.001));
-  EXPECT_FALSE(hist.Record(std::numeric_limits<double>::infinity()));
-  EXPECT_EQ(hist.count(), 0u);
-  EXPECT_EQ(hist.rejected(), 3u);
-  // Rejections must not poison the bounds of later good samples.
-  EXPECT_TRUE(hist.Record(5.0));
-  EXPECT_DOUBLE_EQ(hist.min(), 5.0);
-  EXPECT_DOUBLE_EQ(hist.max(), 5.0);
-}
-
-TEST(LogHistogramTest, ZeroAndHugeLandInBoundaryBuckets) {
-  LogHistogram hist;
-  EXPECT_TRUE(hist.Record(0.0));    // below kMinTracked: underflow bucket
-  EXPECT_TRUE(hist.Record(1e15));   // above kMaxTracked: overflow bucket
-  EXPECT_EQ(hist.buckets().front(), 1u);
-  EXPECT_EQ(hist.buckets().back(), 1u);
-  EXPECT_DOUBLE_EQ(hist.min(), 0.0);
-  EXPECT_DOUBLE_EQ(hist.max(), 1e15);
-}
-
-TEST(LogHistogramTest, MergeMatchesSequentialRecording) {
-  LogHistogram left, right, sequential;
-  for (int i = 1; i <= 100; ++i) {
-    const double v = 0.01 * i;
-    (i % 2 == 0 ? left : right).Record(v);
-    sequential.Record(v);
-  }
-  left.Merge(right);
-  EXPECT_EQ(left.count(), sequential.count());
-  EXPECT_DOUBLE_EQ(left.min(), sequential.min());
-  EXPECT_DOUBLE_EQ(left.max(), sequential.max());
-  EXPECT_EQ(left.buckets(), sequential.buckets());
-  EXPECT_DOUBLE_EQ(left.ApproxMean(), sequential.ApproxMean());
-}
-
-TEST(LogHistogramTest, MergeEmptyIsIdentity) {
-  LogHistogram hist, empty;
-  hist.Record(1.0);
-  hist.Merge(empty);
-  EXPECT_EQ(hist.count(), 1u);
-  EXPECT_DOUBLE_EQ(hist.min(), 1.0);
-  // Merging into an empty histogram adopts the other's bounds outright.
-  LogHistogram fresh;
-  fresh.Merge(hist);
-  EXPECT_DOUBLE_EQ(fresh.min(), 1.0);
-  EXPECT_DOUBLE_EQ(fresh.max(), 1.0);
-}
-
-TEST(LogHistogramTest, InjectedBoundsAdoptedNotMinMergedWithZero) {
-  // The sharded-histogram merge path: bucket counts arrive by injection
-  // (leaving placeholder 0.0 bounds), then real bounds are injected. The
-  // exported min must be the injected one, not 0.
-  LogHistogram hist;
-  hist.InjectBucketCount(LogHistogram::BucketIndex(35.5), 2);
-  hist.InjectBounds(35.4, 36.1);
-  EXPECT_DOUBLE_EQ(hist.min(), 35.4);
-  EXPECT_DOUBLE_EQ(hist.max(), 36.1);
-  // A second injection (another shard) min/max-merges.
-  hist.InjectBucketCount(LogHistogram::BucketIndex(12.0), 1);
-  hist.InjectBounds(12.0, 12.0);
-  EXPECT_DOUBLE_EQ(hist.min(), 12.0);
-  EXPECT_DOUBLE_EQ(hist.max(), 36.1);
-}
-
-TEST(LogHistogramTest, InjectBoundsOnEmptyIsIgnored) {
-  LogHistogram hist;
-  hist.InjectBounds(3.0, 4.0);  // no counts: nothing to bound
-  EXPECT_DOUBLE_EQ(hist.min(), 0.0);
-  EXPECT_DOUBLE_EQ(hist.max(), 0.0);
-}
-
-TEST(LogHistogramTest, ApproxQuantileWithinBucketResolution) {
-  LogHistogram hist;
-  Rng rng(19);
-  std::vector<double> samples;
-  for (int i = 0; i < 20000; ++i) {
-    const double v = 50.0 + 100.0 * rng.NextDouble();
-    samples.push_back(v);
-    hist.Record(v);
-  }
-  // 5 buckets per decade => bucket edges are ~58% apart; the bucket
-  // midpoint approximation should land within that resolution.
-  for (double q : {0.5, 0.9, 0.99}) {
-    const double exact = Quantile(samples, q);
-    EXPECT_NEAR(hist.ApproxQuantile(q) / exact, 1.0, 0.35) << "q=" << q;
-  }
-}
-
 // --------------------------------------------------------- distributions
 
 struct DistCase {

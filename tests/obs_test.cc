@@ -87,11 +87,47 @@ TEST(MetricsRegistryTest, HistogramMergesShardsExactly) {
   pool.ParallelFor(4000, [&](size_t i) {
     hist.Record(0.001 * static_cast<double>(1 + (i % 100)));
   });
-  const LogHistogram merged = hist.Merged();
+  const QuantileSketch merged = hist.Merged();
   EXPECT_EQ(merged.count(), 4000u);
   EXPECT_EQ(merged.rejected(), 0u);
   EXPECT_DOUBLE_EQ(merged.min(), 0.001);
   EXPECT_DOUBLE_EQ(merged.max(), 0.100);
+}
+
+// The registry's cells are the sketch's buckets: racing workers recording
+// into one Histogram merge to exactly the bytes of a serial sketch at the
+// registry accuracy fed the same values (rejections included).
+TEST(MetricsRegistryTest, HistogramMergesToSerialSketchBytes) {
+  std::vector<double> values;
+  for (size_t i = 0; i < 3000; ++i) {
+    // Zeros, sub-nanosecond values, exact powers of ten and a log-spread
+    // from 1e-9 up to 1e12, plus a sprinkling of rejected samples.
+    const double spread = std::pow(10.0, -9.0 + 21.0 * (i % 997) / 996.0);
+    switch (i % 7) {
+      case 0: values.push_back(0.0); break;
+      case 1: values.push_back(3e-10); break;
+      case 2: values.push_back(std::pow(10.0, (i % 22) - 9.0)); break;
+      case 3: values.push_back(i % 2 == 0 ? -1.0 : std::nan("")); break;
+      default: values.push_back(spread); break;
+    }
+  }
+  QuantileSketch serial(kRegistryAccuracy);
+  for (const double v : values) serial.Insert(v);
+
+  MetricsRegistry registry(8);
+  Histogram& hist = registry.GetHistogram("test/grid");
+  ThreadPool pool(4);
+  pool.ParallelFor(values.size(), [&](size_t i) { hist.Record(values[i]); });
+  EXPECT_EQ(hist.Merged().Serialize(), serial.Serialize());
+}
+
+// Five buckets per decade: the cell range spans [1e-9, 1e12].
+TEST(MetricsRegistryTest, HistogramCellsCoverTrackedRange) {
+  const QuantileSketch grid(kRegistryAccuracy);
+  EXPECT_EQ(grid.Index(QuantileSketch::kMinTracked), Histogram::kLowestIndex);
+  EXPECT_EQ(grid.Index(1e12), Histogram::kHighestIndex - 1);
+  EXPECT_EQ(Histogram::kCells, 107u);
+  EXPECT_EQ(grid.Index(10.0) - grid.Index(1.0), 5);
 }
 
 TEST(MetricsRegistryTest, HistogramRejectsNonFinite) {
@@ -101,7 +137,7 @@ TEST(MetricsRegistryTest, HistogramRejectsNonFinite) {
   hist.Record(std::numeric_limits<double>::infinity());
   hist.Record(-1.0);
   hist.Record(2.0);
-  const LogHistogram merged = hist.Merged();
+  const QuantileSketch merged = hist.Merged();
   EXPECT_EQ(merged.count(), 1u);
   EXPECT_EQ(merged.rejected(), 3u);
   EXPECT_DOUBLE_EQ(merged.min(), 2.0);

@@ -538,16 +538,33 @@ void FeedSloPipeline(obs::SloPipeline& slo, double from, double to) {
   }
 }
 
-struct CheckpointFixture {
+// The trained model and the warmed advisor, built once per test binary:
+// warming (each Recommend explores) is nearly all of a fixture's cost, so
+// every case starts from a copy of the one warm advisor. A copy saves the
+// same state bytes as the original.
+struct WarmAdvisor {
   WorkloadProfile profile = CheckpointProfile();
   HybridModel model = HybridModel::Train({&profile});
   AdvisorConfig config = SmallAdvisorConfig();
   OnlineAdvisor advisor{model, profile, config};
+
+  WarmAdvisor() { WarmUp(advisor); }
+};
+
+const WarmAdvisor& Warm() {
+  static const WarmAdvisor warm;
+  return warm;
+}
+
+struct CheckpointFixture {
+  const WorkloadProfile& profile = Warm().profile;
+  const HybridModel& model = Warm().model;
+  AdvisorConfig config = Warm().config;
+  OnlineAdvisor advisor = Warm().advisor;
   SprintBudget budget = SprintBudget::FromFraction(0.2, 3600.0);
   persist::DriveState drive{41, 40, 600.0};
 
   std::string SaveBytes(const std::string& path) {
-    WarmUp(advisor);
     budget.ConsumeUpTo(600.0, 77.7);
     // Every fixture checkpoint carries an SLO section so the corruption
     // harness downstream fuzzes its payload alongside the older sections.
@@ -695,7 +712,6 @@ TEST(CheckpointTest, SloSectionIsOptionalAndRoundTripsBitExactly) {
   const std::string path = "/tmp/msprint_checkpoint_slo.msp";
 
   // A checkpoint saved without a pipeline has no slo section.
-  WarmUp(fx.advisor);
   persist::SaveCheckpointToFile(path, fx.profile, fx.model, fx.config,
                                 fx.advisor, fx.budget, fx.drive);
   EXPECT_FALSE(persist::LoadCheckpointFromFile(path).slo.has_value());
@@ -718,7 +734,6 @@ TEST(CheckpointTest, SloSectionIsOptionalAndRoundTripsBitExactly) {
 // byte-identical to a drive that was never interrupted.
 TEST(CheckpointTest, ResumedSloPipelineReproducesTimelineByteForByte) {
   CheckpointFixture fx;
-  WarmUp(fx.advisor);
   const std::string path = "/tmp/msprint_checkpoint_slo_resume.msp";
 
   obs::SloPipeline uninterrupted(FixtureSloConfig());
@@ -746,17 +761,23 @@ TEST(CheckpointTest, ResumedSloPipelineReproducesTimelineByteForByte) {
 
 TEST(CheckpointTest, AdvisorRestoreIsAllOrNothing) {
   CheckpointFixture fx;
-  WarmUp(fx.advisor);
 
   Writer state_w;
   fx.advisor.SaveState(state_w);
   const std::string good = state_w.bytes();
 
-  OnlineAdvisor victim(fx.model, fx.profile, fx.config);
-  WarmUp(victim);
+  // The victim has lived a different history, so a restore that stopped
+  // part-way would leave bytes that differ from both payloads.
+  OnlineAdvisor victim = fx.advisor;
+  for (int i = 0; i < 12; ++i) {
+    const double t = 615.0 + 9.0 * i;
+    victim.OnArrival(t);
+    victim.OnCompletion(t, 70.0 + i);
+  }
   Writer before_w;
   victim.SaveState(before_w);
   const std::string before = before_w.bytes();
+  ASSERT_NE(before, good);
 
   // Truncated and trailing-garbage payloads both throw — and must leave
   // the victim byte-identical to its pre-restore state.

@@ -2,11 +2,11 @@
 // the mergeable quantile sketch (partition/order-independent bit-exact
 // merges, relative-error rank bound, fail-closed wire format), the
 // sim-time tumbling-window pipeline (signals, burn-rate alerts, anomaly
-// detection, byte-stable exports), the shared nearest-rank quantile rule
-// (HistogramSnapshot::Quantile vs LogHistogram::ApproxQuantile), and the
-// bit-exact state round trip that persistence builds on. The corruption
-// harness over the checkpoint "slo" section lives in persist_test.cc; the
-// cross-pool-size byte-identity of CLI exports is CI's obs job.
+// detection, byte-stable exports), the exported summary's agreement with
+// the sketch's nearest-rank rule, and the bit-exact state round trip that
+// persistence builds on. The corruption harness over the checkpoint "slo"
+// section lives in persist_test.cc; the cross-pool-size byte-identity of
+// CLI exports is CI's obs job.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/stats.h"
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
 #include "src/obs/recorder.h"
@@ -41,6 +40,20 @@ TEST(QuantileSketchTest, EmptySketchIsZero) {
   EXPECT_EQ(sketch.Quantile(0.5), 0.0);
   EXPECT_EQ(sketch.min(), 0.0);
   EXPECT_EQ(sketch.max(), 0.0);
+  EXPECT_EQ(sketch.ApproxMean(), 0.0);
+}
+
+TEST(QuantileSketchTest, SingleSampleIsItsOwnSummary) {
+  QuantileSketch sketch(kRegistryAccuracy);
+  ASSERT_TRUE(sketch.Insert(0.042));
+  EXPECT_EQ(sketch.count(), 1u);
+  // One sample: every representative is clamped to the observed range, so
+  // mean and all quantiles equal the sample exactly.
+  EXPECT_EQ(sketch.min(), 0.042);
+  EXPECT_EQ(sketch.max(), 0.042);
+  EXPECT_EQ(sketch.ApproxMean(), 0.042);
+  EXPECT_EQ(sketch.Quantile(0.0), 0.042);
+  EXPECT_EQ(sketch.Quantile(0.99), 0.042);
 }
 
 TEST(QuantileSketchTest, RejectsNonFiniteAndNegative) {
@@ -51,6 +64,46 @@ TEST(QuantileSketchTest, RejectsNonFiniteAndNegative) {
   EXPECT_TRUE(sketch.Insert(1.0));
   EXPECT_EQ(sketch.count(), 1u);
   EXPECT_EQ(sketch.rejected(), 3u);
+}
+
+TEST(QuantileSketchTest, RejectionsDoNotPoisonBounds) {
+  QuantileSketch sketch;
+  EXPECT_FALSE(sketch.Insert(-0.001));
+  EXPECT_FALSE(sketch.Insert(std::numeric_limits<double>::quiet_NaN()));
+  EXPECT_EQ(sketch.min(), 0.0);
+  EXPECT_EQ(sketch.max(), 0.0);
+  EXPECT_TRUE(sketch.Insert(5.0));
+  EXPECT_EQ(sketch.min(), 5.0);
+  EXPECT_EQ(sketch.max(), 5.0);
+  EXPECT_EQ(sketch.Quantile(0.5), 5.0);
+}
+
+TEST(QuantileSketchTest, HugeSampleKeepsExactCountAndMax) {
+  QuantileSketch sketch(kRegistryAccuracy);
+  EXPECT_TRUE(sketch.Insert(0.0));
+  EXPECT_TRUE(sketch.Insert(1e15));
+  EXPECT_EQ(sketch.count(), 2u);
+  EXPECT_EQ(sketch.zero_count(), 1u);
+  EXPECT_EQ(sketch.num_buckets(), 1u);
+  EXPECT_EQ(sketch.min(), 0.0);
+  EXPECT_EQ(sketch.max(), 1e15);
+  EXPECT_LE(std::abs(sketch.Quantile(1.0) - 1e15), kRegistryAccuracy * 1e15);
+}
+
+TEST(QuantileSketchTest, MergeWithEmptyIsIdentity) {
+  QuantileSketch sketch;
+  QuantileSketch empty;
+  sketch.Insert(1.0);
+  sketch.Insert(3.5);
+  const std::string bytes = sketch.Serialize();
+  sketch.Merge(empty);
+  EXPECT_EQ(sketch.Serialize(), bytes);
+  // Merging into an empty sketch adopts the other's bounds outright.
+  QuantileSketch fresh;
+  fresh.Merge(sketch);
+  EXPECT_EQ(fresh.Serialize(), bytes);
+  EXPECT_EQ(fresh.min(), 1.0);
+  EXPECT_EQ(fresh.max(), 3.5);
 }
 
 TEST(QuantileSketchTest, TinyValuesLandInZeroBucket) {
@@ -206,22 +259,19 @@ TEST(QuantileSketchTest, DeserializeFailsClosedOnCorruption) {
 
 // --- shared nearest-rank quantile rule ----------------------------------
 
-// Satellite: HistogramSnapshot::Quantile must agree exactly with
-// LogHistogram::ApproxQuantile — one quantile rule across attribution,
-// stats exports and the SLO engine.
-TEST(SharedQuantileTest, HistogramSnapshotMatchesLogHistogram) {
-  LogHistogram histogram;
+// The exported summary quotes the sketch's own quantile rule: one rule
+// across attribution, stats exports and the SLO engine.
+TEST(SharedQuantileTest, SummaryQuotesSketchQuantiles) {
+  QuantileSketch sketch(kRegistryAccuracy);
   std::mt19937_64 rng(29);
   std::lognormal_distribution<double> dist(0.0, 2.0);
-  for (int i = 0; i < 5000; ++i) histogram.Record(dist(rng));
-  const HistogramSnapshot snapshot =
-      SummarizeLogHistogram("test/h", histogram);
-  for (const double q : {0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0}) {
-    EXPECT_EQ(snapshot.Quantile(q), histogram.ApproxQuantile(q)) << "q=" << q;
-  }
-  EXPECT_EQ(snapshot.p50, histogram.ApproxQuantile(0.50));
-  EXPECT_EQ(snapshot.p90, histogram.ApproxQuantile(0.90));
-  EXPECT_EQ(snapshot.p99, histogram.ApproxQuantile(0.99));
+  for (int i = 0; i < 5000; ++i) sketch.Insert(dist(rng));
+  const HistogramSnapshot snapshot = SummarizeSketch("test/h", sketch);
+  EXPECT_EQ(snapshot.count, sketch.count());
+  EXPECT_EQ(snapshot.approx_mean, sketch.ApproxMean());
+  EXPECT_EQ(snapshot.p50, sketch.Quantile(0.50));
+  EXPECT_EQ(snapshot.p90, sketch.Quantile(0.90));
+  EXPECT_EQ(snapshot.p99, sketch.Quantile(0.99));
 }
 
 TEST(SharedQuantileTest, RankTargetIsNearestRank) {
@@ -667,7 +717,44 @@ TEST(WireFormatTest, SketchBytesArePinned) {
 
 TEST(WireFormatTest, SloStateBytesArePinned) {
   EXPECT_EQ(persist::Fingerprint64(PinnedPipeline().SaveState()),
-            0x04c7dc88110da1dfULL);
+            0xa326647645f012b6ULL);
+}
+
+// Version 2 stores the run-wide response sketch in the sketch's own wire
+// form; a version-1 payload (the earlier hand-rolled bucket list) is
+// refused up front rather than misread.
+// Every window sketch folds into the run-wide one, so a nested sketch
+// whose accuracy differs from the config's is refused at restore rather
+// than throwing outside the persist taxonomy at a later merge.
+TEST(SloStateTest, RestoreRefusesSketchAccuracyMismatch) {
+  const std::string bytes = PinnedPipeline().SaveState();
+  persist::Writer configured, other;
+  configured.PutF64(0.01);
+  other.PutF64(0.02);
+  // The config's accuracy comes first; the next copy heads the run-wide
+  // sketch, and the one after that the open window's.
+  const size_t config_at = bytes.find(configured.bytes());
+  const size_t run_at = bytes.find(configured.bytes(), config_at + 8);
+  const size_t open_at = bytes.find(configured.bytes(), run_at + 8);
+  ASSERT_NE(open_at, std::string::npos);
+  for (const size_t at : {run_at, open_at}) {
+    std::string mutated = bytes;
+    mutated.replace(at, 8, other.bytes());
+    EXPECT_THROW(SloPipeline::RestoreState(mutated), persist::PersistError)
+        << "sketch at byte " << at;
+  }
+}
+
+TEST(SloStateTest, PreviousVersionPayloadFailsClosed) {
+  std::string bytes = PinnedPipeline().SaveState();
+  ASSERT_EQ(bytes[4], 2);  // u32 magic, then the u8 version
+  bytes[4] = 1;
+  try {
+    SloPipeline::RestoreState(bytes);
+    FAIL() << "version-1 payload restored";
+  } catch (const persist::PersistError& error) {
+    EXPECT_EQ(error.code(), persist::ErrorCode::kFormat);
+  }
 }
 
 // The checkpoint's section CRC catches storage corruption, but the payload
