@@ -303,7 +303,7 @@ void BM_TestbedRunWithSpans(benchmark::State& state) {
   config.seed = 3;
   for (auto _ : state) {
     obs::SpanCollector spans;
-    obs::ObsSession session(nullptr, nullptr, &spans);
+    config.span_sink = &spans;
     benchmark::DoNotOptimize(Testbed::Run(config).mean_response_time);
     benchmark::DoNotOptimize(spans.recorded());
   }

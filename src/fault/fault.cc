@@ -170,7 +170,6 @@ bool FaultInjector::SprintToggleFails(uint64_t query, double now) {
     return false;
   }
   trace_.push_back({now, FaultKind::kToggleFailure, query, 0.0});
-  obs::Count("fault/toggle_failures");
   return true;
 }
 
@@ -198,7 +197,6 @@ double FaultInjector::ServiceMultiplier(uint64_t query, double now) {
   const double multiplier = plan_->ForQuery(query).service_multiplier;
   if (multiplier > 1.0) {
     trace_.push_back({now, FaultKind::kServiceOutlier, query, multiplier});
-    obs::Count("fault/service_outliers");
     obs::Emit(now, obs::EventKind::kServiceOutlier, obs::Subsystem::kFault,
               obs::Severity::kInfo, query, multiplier);
   }
@@ -208,12 +206,10 @@ double FaultInjector::ServiceMultiplier(uint64_t query, double now) {
 void FaultInjector::RecordBreakerTrip(double now, double cooldown_seconds) {
   trace_.push_back(
       {now, FaultKind::kBreakerTrip, FaultEvent::kNoQuery, cooldown_seconds});
-  obs::Count("fault/breaker_trips");
 }
 
 void FaultInjector::RecordSprintAbort(uint64_t query, double now) {
   trace_.push_back({now, FaultKind::kSprintAbort, query, 0.0});
-  obs::Count("fault/sprint_aborts");
 }
 
 }  // namespace msprint

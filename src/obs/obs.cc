@@ -8,8 +8,6 @@ namespace obs {
 namespace {
 std::atomic<MetricsRegistry*> g_metrics{nullptr};
 std::atomic<FlightRecorder*> g_recorder{nullptr};
-std::atomic<SpanCollector*> g_spans{nullptr};
-std::atomic<SloPipeline*> g_slo{nullptr};
 }  // namespace
 
 MetricsRegistry* ActiveMetrics() {
@@ -20,29 +18,16 @@ FlightRecorder* ActiveRecorder() {
   return g_recorder.load(std::memory_order_acquire);
 }
 
-SpanCollector* ActiveSpans() {
-  return g_spans.load(std::memory_order_acquire);
-}
-
-SloPipeline* ActiveSlo() { return g_slo.load(std::memory_order_acquire); }
-
-ObsSession::ObsSession(MetricsRegistry* metrics, FlightRecorder* recorder,
-                       SpanCollector* spans, SloPipeline* slo)
+ObsSession::ObsSession(MetricsRegistry* metrics, FlightRecorder* recorder)
     : previous_metrics_(g_metrics.load(std::memory_order_acquire)),
-      previous_recorder_(g_recorder.load(std::memory_order_acquire)),
-      previous_spans_(g_spans.load(std::memory_order_acquire)),
-      previous_slo_(g_slo.load(std::memory_order_acquire)) {
+      previous_recorder_(g_recorder.load(std::memory_order_acquire)) {
   g_metrics.store(metrics, std::memory_order_release);
   g_recorder.store(recorder, std::memory_order_release);
-  g_spans.store(spans, std::memory_order_release);
-  g_slo.store(slo, std::memory_order_release);
 }
 
 ObsSession::~ObsSession() {
   g_metrics.store(previous_metrics_, std::memory_order_release);
   g_recorder.store(previous_recorder_, std::memory_order_release);
-  g_spans.store(previous_spans_, std::memory_order_release);
-  g_slo.store(previous_slo_, std::memory_order_release);
 }
 
 }  // namespace obs

@@ -21,35 +21,20 @@
 
 #include "src/obs/metrics.h"
 #include "src/obs/recorder.h"
-#include "src/obs/span.h"
 
 namespace msprint {
 namespace obs {
 
-class SloPipeline;
-
 // Currently attached sinks; nullptr when observability is idle.
 MetricsRegistry* ActiveMetrics();
 FlightRecorder* ActiveRecorder();
-SpanCollector* ActiveSpans();
-// The attached streaming SLO pipeline (src/obs/slo.h); call sites cache
-// the pointer once per run and feed it directly from serial paths.
-SloPipeline* ActiveSlo();
 
 // RAII attach/detach. Constructing with nullptrs is allowed (useful to
 // mask an outer session). The previous attachment is restored on
-// destruction, so sessions nest like a stack. The shorter forms mask any
-// outer span collector / SLO pipeline, matching their masking of
-// metrics/recorder.
+// destruction, so sessions nest like a stack.
 class ObsSession {
  public:
-  ObsSession(MetricsRegistry* metrics, FlightRecorder* recorder)
-      : ObsSession(metrics, recorder, nullptr, nullptr) {}
-  ObsSession(MetricsRegistry* metrics, FlightRecorder* recorder,
-             SpanCollector* spans)
-      : ObsSession(metrics, recorder, spans, nullptr) {}
-  ObsSession(MetricsRegistry* metrics, FlightRecorder* recorder,
-             SpanCollector* spans, SloPipeline* slo);
+  ObsSession(MetricsRegistry* metrics, FlightRecorder* recorder);
   ~ObsSession();
 
   ObsSession(const ObsSession&) = delete;
@@ -58,8 +43,6 @@ class ObsSession {
  private:
   MetricsRegistry* previous_metrics_;
   FlightRecorder* previous_recorder_;
-  SpanCollector* previous_spans_;
-  SloPipeline* previous_slo_;
 };
 
 // --- instrumentation helpers -------------------------------------------
@@ -94,14 +77,6 @@ inline void SetGauge(const char* name, double value,
 inline void Emit(const Event& event) {
   if (FlightRecorder* recorder = ActiveRecorder()) {
     recorder->Record(event);
-  }
-}
-
-// Records one query span. Like Emit, only call from serial deterministic
-// code; batch paths should check ActiveSpans() once and use RecordBatch.
-inline void RecordSpan(const QuerySpan& span) {
-  if (SpanCollector* spans = ActiveSpans()) {
-    spans->Record(span);
   }
 }
 

@@ -351,9 +351,19 @@ SloPipeline::SloPipeline(SloConfig config)
       open_(config_.sketch_relative_accuracy),
       objective_states_(config_.objectives.size()),
       anomaly_states_(config_.anomalies.size()),
-      run_response_(config_.sketch_relative_accuracy) {
+      run_response_(config_.sketch_relative_accuracy),
+      burn_counts_(config_.objectives.size()) {
   ValidateConfig(config_);
   open_ = MakeWindow(0, config_);
+  const SloBurnConfig& burn = config_.burn;
+  const double horizons[kBurnHorizons] = {
+      burn.fast_short_seconds, burn.fast_long_seconds,
+      burn.slow_short_seconds, burn.slow_long_seconds};
+  for (size_t h = 0; h < kBurnHorizons; ++h) {
+    burn_windows_[h] = std::max<size_t>(
+        1, static_cast<size_t>(
+               std::ceil(horizons[h] / config_.window_seconds)));
+  }
 }
 
 void SloPipeline::Advance(double now) {
@@ -442,31 +452,34 @@ void SloPipeline::Finish(double end_time) {
   }
 }
 
-double SloPipeline::BurnRate(size_t objective, double horizon_seconds) const {
-  const uint64_t horizon_windows = std::max<uint64_t>(
-      1, static_cast<uint64_t>(
-             std::ceil(horizon_seconds / config_.window_seconds)));
-  const size_t available =
-      std::min<size_t>(closed_.size(), static_cast<size_t>(horizon_windows));
-  if (available == 0) {
-    return 0.0;
-  }
-  const uint32_t bit = 1u << objective;
-  uint64_t evaluated = 0;
-  uint64_t bad = 0;
-  for (size_t i = closed_.size() - available; i < closed_.size(); ++i) {
-    if (closed_[i].evaluated_mask & bit) {
-      ++evaluated;
-      if (closed_[i].violation_mask & bit) {
-        ++bad;
+void SloPipeline::SlideBurnCounts(size_t newest) {
+  const SloWindow& entering = closed_[newest];
+  for (size_t h = 0; h < kBurnHorizons; ++h) {
+    const SloWindow* leaving = newest >= burn_windows_[h]
+                                   ? &closed_[newest - burn_windows_[h]]
+                                   : nullptr;
+    for (size_t i = 0; i < burn_counts_.size(); ++i) {
+      const uint32_t bit = 1u << i;
+      BurnCounts& counts = burn_counts_[i][h];
+      counts.evaluated += (entering.evaluated_mask & bit) != 0;
+      counts.bad +=
+          (entering.evaluated_mask & entering.violation_mask & bit) != 0;
+      if (leaving != nullptr) {
+        counts.evaluated -= (leaving->evaluated_mask & bit) != 0;
+        counts.bad -=
+            (leaving->evaluated_mask & leaving->violation_mask & bit) != 0;
       }
     }
   }
-  if (evaluated == 0) {
+}
+
+double SloPipeline::BurnRate(size_t objective, size_t horizon) const {
+  const BurnCounts& counts = burn_counts_[objective][horizon];
+  if (counts.evaluated == 0) {
     return 0.0;
   }
-  const double bad_fraction =
-      static_cast<double>(bad) / static_cast<double>(evaluated);
+  const double bad_fraction = static_cast<double>(counts.bad) /
+                              static_cast<double>(counts.evaluated);
   return bad_fraction / config_.objectives[objective].budget;
 }
 
@@ -522,6 +535,7 @@ void SloPipeline::CloseWindow() {
   closed_.push_back(std::move(open_));
   SloWindow& window = closed_.back();
   ++windows_closed_;
+  SlideBurnCounts(closed_.size() - 1);
   // Alert state machine: a burn-rate pair pages when both its windows
   // exceed the pair threshold; either pair paging keeps the alert active.
   for (size_t i = 0; i < config_.objectives.size(); ++i) {
@@ -534,10 +548,8 @@ void SloPipeline::CloseWindow() {
       }
     }
     const SloBurnConfig& burn = config_.burn;
-    const double fast = std::min(BurnRate(i, burn.fast_short_seconds),
-                                 BurnRate(i, burn.fast_long_seconds));
-    const double slow = std::min(BurnRate(i, burn.slow_short_seconds),
-                                 BurnRate(i, burn.slow_long_seconds));
+    const double fast = std::min(BurnRate(i, 0), BurnRate(i, 1));
+    const double slow = std::min(BurnRate(i, 2), BurnRate(i, 3));
     const bool paging =
         fast > burn.fast_threshold || slow > burn.slow_threshold;
     if (paging && !state.alert_active) {
@@ -986,6 +998,9 @@ SloPipeline SloPipeline::RestoreState(std::string_view bytes) {
     Malformed("open window behind the closed ring");
   }
   r.ExpectEnd();
+  for (size_t i = 0; i < pipeline.closed_.size(); ++i) {
+    pipeline.SlideBurnCounts(i);
+  }
   return pipeline;
 }
 

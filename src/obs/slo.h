@@ -14,6 +14,7 @@
 #ifndef MSPRINT_SRC_OBS_SLO_H_
 #define MSPRINT_SRC_OBS_SLO_H_
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -216,7 +217,12 @@ class SloPipeline {
   void CloseWindow();
   void EvaluateObjectives(SloWindow& window);
   void EvaluateAnomalies(const SloWindow& window);
-  double BurnRate(size_t objective, double horizon_seconds) const;
+  // Burn horizons, indexed 0-3: fast short, fast long, slow short, slow
+  // long.
+  static constexpr size_t kBurnHorizons = 4;
+  // Slides every horizon's running counts to end at closed_[newest].
+  void SlideBurnCounts(size_t newest);
+  double BurnRate(size_t objective, size_t horizon) const;
   size_t RetainedWindowFloor() const;
 
   SloConfig config_;
@@ -231,6 +237,16 @@ class SloPipeline {
   // Run-wide response-time sketch over every closed window; each window's
   // sketch folds in when it closes. FormatSummary adds the open window.
   QuantileSketch run_response_;
+  // Per objective and burn horizon: evaluated and bad windows among the
+  // newest burn_windows_[h] closed windows, kept as running counts so a
+  // window close is O(objectives), not a rescan of the ring. Derived from
+  // the ring's masks, so RestoreState rebuilds them instead of persisting.
+  struct BurnCounts {
+    uint64_t evaluated = 0;
+    uint64_t bad = 0;
+  };
+  std::array<size_t, kBurnHorizons> burn_windows_{};
+  std::vector<std::array<BurnCounts, kBurnHorizons>> burn_counts_;
 };
 
 }  // namespace obs

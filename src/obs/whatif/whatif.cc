@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 
 #include "src/common/thread_pool.h"
@@ -264,66 +265,6 @@ double PredictedMeanSeconds(const Measurement& base, Knob knob,
 
 namespace {
 
-// Post-hoc SLO event kinds, in feed order at equal timestamps (the live
-// loops feed arrival before shed before timeout/engage before response).
-enum class SloEventKind : uint8_t {
-  kArrival = 0,
-  kShed = 1,
-  kTimeout = 2,
-  kEngage = 3,
-  kResponse = 4,
-};
-
-struct SloEvent {
-  double time = 0.0;
-  SloEventKind kind = SloEventKind::kArrival;
-  double response_seconds = 0.0;
-  bool good = false;
-};
-
-void FeedSlo(const Scenario& scenario, std::vector<SloEvent>& events,
-             double end_time, Measurement& m) {
-  // Deterministic chronological order: the event list is built in trace
-  // order (itself deterministic), so a stable sort by (time, kind) yields
-  // the same feed for any thread count.
-  std::stable_sort(events.begin(), events.end(),
-                   [](const SloEvent& a, const SloEvent& b) {
-                     if (a.time != b.time) {
-                       return a.time < b.time;
-                     }
-                     return static_cast<uint8_t>(a.kind) <
-                            static_cast<uint8_t>(b.kind);
-                   });
-  obs::SloPipeline pipeline(scenario.slo);
-  for (const SloEvent& ev : events) {
-    switch (ev.kind) {
-      case SloEventKind::kArrival:
-        pipeline.OnArrival(ev.time);
-        break;
-      case SloEventKind::kShed:
-        pipeline.OnShed(ev.time);
-        break;
-      case SloEventKind::kTimeout:
-        pipeline.OnTimeout(ev.time);
-        break;
-      case SloEventKind::kEngage:
-        pipeline.OnSprintEngage(ev.time);
-        break;
-      case SloEventKind::kResponse:
-        pipeline.OnResponse(ev.time, ev.response_seconds, ev.good);
-        break;
-    }
-  }
-  pipeline.Finish(end_time);
-  m.slo_alerts_fired = pipeline.AlertsFired();
-  uint64_t bad = 0;
-  for (const obs::SloObjectiveState& st : pipeline.objective_states()) {
-    bad += st.bad_windows;
-  }
-  m.slo_bad_windows = bad;
-  m.slo_burned_through = pipeline.BurnedThrough();
-}
-
 void SummarizeSpans(const std::vector<obs::QuerySpan>& spans,
                     Measurement& m) {
   m.queries = spans.size();
@@ -339,86 +280,47 @@ void SummarizeSpans(const std::vector<obs::QuerySpan>& spans,
       static_cast<double>(m.total_response_ticks), m.queries);
 }
 
-Measurement RunOneTestbed(const Scenario& scenario) {
-  Measurement m;
-  obs::SpanCollector spans;
-  TestbedConfig config = scenario.testbed;
-  config.span_sink = &spans;
-  const RunTrace trace = Testbed::Run(config);
-  SummarizeSpans(spans.TakeSpans(), m);
-  m.p50_seconds = trace.PercentileResponseTime(0.5);
-  m.p99_seconds = trace.PercentileResponseTime(0.99);
-  m.goodput_per_second = trace.goodput_per_second;
-  if (scenario.evaluate_slo) {
-    // Reconstruct the live feed from the post-warmup trace: arrivals,
-    // sheds, responses (good = served, as the live loop reports), and —
-    // when a sprint engaged — the coincident timeout+engage pair at
-    // sprint_begin. Timeouts whose sprint was denied are not in the
-    // trace's timeline and are omitted (queue depth / budget level
-    // likewise carry no post-hoc data).
-    std::vector<SloEvent> events;
-    events.reserve(trace.queries.size() * 2);
-    for (const Query& q : trace.queries) {
-      if (q.shed) {
-        events.push_back({q.arrival, SloEventKind::kShed, 0.0, false});
-        continue;
-      }
-      events.push_back({q.arrival, SloEventKind::kArrival, 0.0, false});
-      if (q.sprinted && q.sprint_begin >= 0.0) {
-        if (q.timed_out) {
-          events.push_back(
-              {q.sprint_begin, SloEventKind::kTimeout, 0.0, false});
-        }
-        events.push_back(
-            {q.sprint_begin, SloEventKind::kEngage, 0.0, false});
-      }
-      if (q.depart >= 0.0) {
-        events.push_back({q.depart, SloEventKind::kResponse,
-                          q.ResponseTime(), q.Served()});
-      }
-    }
-    FeedSlo(scenario, events, trace.makespan, m);
-  }
-  return m;
-}
-
-Measurement RunOneSim(const Scenario& scenario) {
-  Measurement m;
-  obs::SpanCollector spans;
-  SimConfig config = scenario.sim;
-  config.span_sink = &spans;
-  std::vector<SimQuery> trace;
-  const SimResult result =
-      SimulateQueue(config, scenario.evaluate_slo ? &trace : nullptr);
-  SummarizeSpans(spans.TakeSpans(), m);
-  m.p50_seconds = result.PercentileResponseTime(0.5);
-  m.p99_seconds = result.PercentileResponseTime(0.99);
-  m.goodput_per_second =
-      result.makespan > 0.0
-          ? static_cast<double>(result.response_times.size()) /
-                result.makespan
-          : 0.0;
-  if (scenario.evaluate_slo) {
-    std::vector<SloEvent> events;
-    events.reserve(trace.size() * 2);
-    for (const SimQuery& q : trace) {
-      if (q.shed) {
-        events.push_back({q.arrival, SloEventKind::kShed, 0.0, false});
-        continue;
-      }
-      events.push_back({q.arrival, SloEventKind::kArrival, 0.0, false});
-      // The sim's live loop reports every completed response as good.
-      events.push_back(
-          {q.depart, SloEventKind::kResponse, q.ResponseTime(), true});
-    }
-    FeedSlo(scenario, events, result.makespan, m);
-  }
-  return m;
-}
-
+// One (re)run with worker-local sinks: its own span collector and, when
+// objectives are evaluated, its own SLO pipeline fed live by the engine —
+// the same feed `msprint slo` reads.
 Measurement RunOne(const Scenario& scenario) {
-  return scenario.engine == Engine::kSim ? RunOneSim(scenario)
-                                         : RunOneTestbed(scenario);
+  std::optional<obs::SloPipeline> slo;
+  if (scenario.evaluate_slo) {
+    slo.emplace(scenario.slo);
+  }
+  obs::SloPipeline* const slo_sink = slo ? &*slo : nullptr;
+  obs::SpanCollector spans;
+  Measurement m;
+  if (scenario.engine == Engine::kSim) {
+    SimConfig config = scenario.sim;
+    config.span_sink = &spans;
+    config.slo_sink = slo_sink;
+    const SimResult result = SimulateQueue(config);
+    m.p50_seconds = result.PercentileResponseTime(0.5);
+    m.p99_seconds = result.PercentileResponseTime(0.99);
+    m.goodput_per_second =
+        result.makespan > 0.0
+            ? static_cast<double>(result.response_times.size()) /
+                  result.makespan
+            : 0.0;
+  } else {
+    TestbedConfig config = scenario.testbed;
+    config.span_sink = &spans;
+    config.slo_sink = slo_sink;
+    const RunTrace trace = Testbed::Run(config);
+    m.p50_seconds = trace.PercentileResponseTime(0.5);
+    m.p99_seconds = trace.PercentileResponseTime(0.99);
+    m.goodput_per_second = trace.goodput_per_second;
+  }
+  SummarizeSpans(spans.TakeSpans(), m);
+  if (slo) {
+    m.slo_alerts_fired = slo->AlertsFired();
+    for (const obs::SloObjectiveState& st : slo->objective_states()) {
+      m.slo_bad_windows += st.bad_windows;
+    }
+    m.slo_burned_through = slo->BurnedThrough();
+  }
+  return m;
 }
 
 // Recomputes every derived column (predictions, errors, gains, ranking)
@@ -478,9 +380,9 @@ double Report::BestRelativeGain() const {
 Report RunWhatif(const Scenario& scenario, const Plan& plan,
                  ThreadPool* pool) {
   // Mask any live observability session for the fan-out: the global
-  // registry/recorder/span/SLO singletons are serial-only, and every
-  // experiment collects through its own explicit sinks instead.
-  obs::ObsSession mask(nullptr, nullptr, nullptr, nullptr);
+  // registry and recorder are serial-only, and every experiment collects
+  // through its own span and SLO sinks instead.
+  obs::ObsSession mask(nullptr, nullptr);
 
   const size_t n = plan.experiments.size() + 1;  // slot 0 = base run
   std::vector<Measurement> slots(n);

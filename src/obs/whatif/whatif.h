@@ -27,10 +27,11 @@
 // Determinism contract: RunWhatif fans experiments over
 // ThreadPool::Global() (each item writes slot i only, merge in index
 // order) and masks the process-global ObsSession for the duration, so
-// every export is byte-identical for any MSPRINT_THREADS. Workers collect
-// spans through the engines' span_sink hook and evaluate SLO objectives
-// post-hoc on a worker-local pipeline — the global session is never
-// touched off the serial path.
+// every export is byte-identical for any MSPRINT_THREADS. Each rerun
+// hands the engine its own worker-local SpanCollector and SloPipeline
+// through the config's span_sink / slo_sink, so the SLO columns come
+// from the same live feed as `msprint slo` and no sink is shared across
+// workers.
 
 #ifndef MSPRINT_SRC_OBS_WHATIF_WHATIF_H_
 #define MSPRINT_SRC_OBS_WHATIF_WHATIF_H_
@@ -74,17 +75,18 @@ bool ParseKnob(std::string_view name, Knob* out);
 enum class Engine : uint8_t { kTestbed = 0, kSim = 1 };
 
 // One scenario: a fully specified engine config plus (optionally) SLO
-// objectives evaluated post-hoc over each rerun's trace.
+// objectives evaluated on each rerun. The configs' own span_sink and
+// slo_sink are ignored: every rerun supplies worker-local ones.
 struct Scenario {
   Engine engine = Engine::kTestbed;
   TestbedConfig testbed;
   // Used when engine == kSim. sim.service is caller-owned and must
   // outlive every rerun.
   SimConfig sim;
-  // Objectives are evaluated post-hoc from each rerun's per-query trace
-  // (arrivals, sheds, responses) on a worker-local pipeline, so alert
-  // counts are comparable across experiments. Signals that need live
-  // engine state (queue depth, budget level) carry no data post-hoc.
+  // Objectives are evaluated live on a worker-local pipeline per rerun
+  // (every signal the engine feeds, warmup included), so alert counts are
+  // comparable across experiments and equal a `msprint slo` run of the
+  // same config.
   obs::SloConfig slo;
   bool evaluate_slo = false;
 };

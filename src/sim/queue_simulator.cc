@@ -80,16 +80,11 @@ class SimServer : public ServeLoop<SimServer> {
       obs::Count("sim/shed", result.shed_count);
     }
 
-    // Spans come only from serial call sites, so the global collector
-    // needs the record_spans opt-in; an explicit span_sink (whatif reruns
-    // on workers) bypasses the session. With no phases, interference or
-    // faults, a span is queue wait + service + sprint delta.
-    RecordSpans(config.span_sink != nullptr
-                    ? config.span_sink
-                    : (config.record_spans ? obs::ActiveSpans() : nullptr),
-                first, [&](size_t q, obs::SpanInputs& in) {
-                  in.service_time = service_[q];
-                });
+    // With no phases, interference or faults, a span is queue wait +
+    // service + sprint delta.
+    RecordSpans(config.span_sink, first, [&](size_t q, obs::SpanInputs& in) {
+      in.service_time = service_[q];
+    });
 
     if (trace_out != nullptr) {
       trace_out->resize(n);
@@ -120,10 +115,7 @@ class SimServer : public ServeLoop<SimServer> {
     params.budget_capacity_seconds = config.budget_capacity_seconds;
     params.budget_refill_seconds = config.budget_refill_seconds;
     params.admission = config.admission;
-    // The SLO pipeline is opt-in (record_timeline) because simulations
-    // also run on pool workers while a pipeline is attached, and the
-    // pipeline, like the flight recorder, is serial-only.
-    params.slo = config.record_timeline ? obs::ActiveSlo() : nullptr;
+    params.slo = config.slo_sink;
     params.model_bytes = RunArena::BytesFor<double>(n);
     return params;
   }

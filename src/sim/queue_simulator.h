@@ -29,6 +29,7 @@
 namespace msprint {
 
 namespace obs {
+class SloPipeline;
 class SpanCollector;
 }  // namespace obs
 
@@ -75,30 +76,21 @@ struct SimConfig {
   // response-time statistics (counted in SimResult::shed_count).
   robust::AdmissionConfig admission;
 
-  // When true AND a span collector is attached (obs::ActiveSpans), the
-  // post-warmup queries are recorded as attribution spans. Off by default
-  // because simulations also run on pool workers (replications, SA chains)
-  // while an ObsSession is live, and span recording — like the flight
-  // recorder — is reserved for serial deterministic paths; only serial
-  // call sites (e.g. `msprint explain --profile`) should set this.
-  bool record_spans = false;
-
-  // When true AND an SLO pipeline is attached (obs::ActiveSlo), the event
-  // loop feeds it windowed signals (arrivals, responses, sheds, sprint
-  // engages, budget level) at sim timestamps. Same opt-in rationale as
-  // record_spans: the pipeline is serial-only, so only serial call sites
-  // may set this.
-  bool record_timeline = false;
-
   // Counterfactual perturbation hook (src/obs/whatif; DESIGN.md §16):
   // multiplies every sampled service time. The 1.0 default is a bitwise
   // identity, so unperturbed configs replay byte-identically.
   double service_time_scale = 1.0;
 
-  // When set, post-warmup spans are recorded here regardless of
-  // record_spans — the whatif executor's way of collecting spans on pool
-  // workers without touching the process-global ObsSession.
+  // Observability sinks for this run; nullptr records nothing. The post-
+  // warmup queries are recorded into `span_sink` as attribution spans, and
+  // the event loop feeds `slo_sink` windowed signals (arrivals, responses,
+  // sheds, timeouts, sprint engages, queue depth, budget level) at sim
+  // timestamps and finishes it at the makespan. Both are written from the
+  // run's own serial loop, so a sink must belong to one run at a time:
+  // pool workers (replications, SA chains, whatif reruns) each pass their
+  // own or none.
   obs::SpanCollector* span_sink = nullptr;
+  obs::SloPipeline* slo_sink = nullptr;
 };
 
 // Per-query record emitted by a simulation.

@@ -6,6 +6,7 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "src/core/serve_loop.h"
 
@@ -25,6 +26,25 @@ double LoadOverheadFactor(size_t queue_length) {
   return 1.0 + kLoadOverheadPerQueuedQuery *
                    static_cast<double>(std::min(queue_length,
                                                 kLoadOverheadCap));
+}
+
+// Adds the run's injected faults to the fault/ counters, once per kind
+// and only when non-zero. Flash crowds are windows, not counted events.
+void CountFaults(const FaultTrace& trace) {
+  size_t counts[std::size(kAllFaultKinds)] = {};
+  for (const FaultEvent& event : trace) {
+    ++counts[static_cast<size_t>(event.kind)];
+  }
+  static constexpr std::pair<FaultKind, const char*> kCounters[] = {
+      {FaultKind::kToggleFailure, "fault/toggle_failures"},
+      {FaultKind::kServiceOutlier, "fault/service_outliers"},
+      {FaultKind::kBreakerTrip, "fault/breaker_trips"},
+      {FaultKind::kSprintAbort, "fault/sprint_aborts"}};
+  for (const auto& [kind, name] : kCounters) {
+    if (const size_t n = counts[static_cast<size_t>(kind)]; n > 0) {
+      obs::Count(name, n);
+    }
+  }
 }
 
 // The testbed's own events, numbered after the serve loop's.
@@ -241,7 +261,7 @@ class TestbedServer : public ServeLoop<TestbedServer> {
     params.budget_capacity_seconds = config.policy.BudgetCapacitySeconds();
     params.budget_refill_seconds = config.policy.refill_seconds;
     params.admission = config.admission;
-    params.slo = obs::ActiveSlo();
+    params.slo = config.slo_sink;
     params.unset_time = -1.0;
     return params;
   }
@@ -501,6 +521,7 @@ RunTrace TestbedServer::Finish() {
   if (lockout_denials_ > 0) {
     obs::Count("fault/breaker_lockout_denials", lockout_denials_);
   }
+  CountFaults(trace.fault_trace);
   if (config_.admission.Enabled() || config_.retry.enabled) {
     obs::Count("robust/shed", trace.shed_count);
     obs::Count("robust/abandoned", trace.abandoned_count);
@@ -514,23 +535,20 @@ RunTrace TestbedServer::Finish() {
   // Span sweep: when a collector is attached, decompose every post-warmup
   // query (the same slice as trace.queries, in id order) into exact causal
   // components, in one batch.
-  RecordSpans(
-      config_.span_sink != nullptr ? config_.span_sink : obs::ActiveSpans(),
-      first, [&](size_t q, obs::SpanInputs& in) {
-        const Query& query = queries_[q];
-        const AttemptState& a = state_[q];
-        const WorkloadCache& cached =
-            cache_[static_cast<size_t>(query.workload)];
-        in.klass = static_cast<uint32_t>(query.workload);
-        in.service_time = query.service_time;
-        in.load_factor = a.load_factor;
-        in.fault_multiplier = a.fault_multiplier;
-        in.toggle_seconds = a.toggle_seconds;
-        in.first_arrival = query.first_arrival;
-        in.sprint_aborted = a.sprint_aborted;
-        in.phase_fractions = cached.phase_fractions.data();
-        in.num_phases = cached.num_phases;
-      });
+  RecordSpans(config_.span_sink, first, [&](size_t q, obs::SpanInputs& in) {
+    const Query& query = queries_[q];
+    const AttemptState& a = state_[q];
+    const WorkloadCache& cached = cache_[static_cast<size_t>(query.workload)];
+    in.klass = static_cast<uint32_t>(query.workload);
+    in.service_time = query.service_time;
+    in.load_factor = a.load_factor;
+    in.fault_multiplier = a.fault_multiplier;
+    in.toggle_seconds = a.toggle_seconds;
+    in.first_arrival = query.first_arrival;
+    in.sprint_aborted = a.sprint_aborted;
+    in.phase_fractions = cached.phase_fractions.data();
+    in.num_phases = cached.num_phases;
+  });
   trace.queries = std::move(queries_);
   trace.queries.erase(trace.queries.begin(),
                       trace.queries.begin() + static_cast<long>(first));

@@ -36,6 +36,7 @@
 namespace msprint {
 
 namespace obs {
+class SloPipeline;
 class SpanCollector;
 }  // namespace obs
 
@@ -91,11 +92,14 @@ struct TestbedConfig {
   // negative time.
   double sprint_boost = 1.0;
 
-  // When set, the post-run span sweep records into this collector instead
-  // of consulting obs::ActiveSpans() — lets counterfactual reruns on pool
-  // workers collect spans without touching the process-global ObsSession
-  // (which is reserved for serial call sites).
+  // Observability sinks for this run; nullptr records nothing. The post-
+  // run sweep records every dispatched post-warmup attempt into
+  // `span_sink` as an attribution span; the event loop feeds `slo_sink`
+  // (warmup included) at sim timestamps and finishes it at the makespan.
+  // A sink belongs to one run at a time, so concurrent runs (whatif
+  // reruns on pool workers) each pass their own.
   obs::SpanCollector* span_sink = nullptr;
+  obs::SloPipeline* slo_sink = nullptr;
 };
 
 // Everything the profiler captures about one run (Section 2.1: "response

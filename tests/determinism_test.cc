@@ -396,7 +396,6 @@ TEST(DeterminismTest, SpanAttributionByteIdenticalForAnyPoolSize) {
     const auto rec = advisor.Recommend(t);
 
     obs::SpanCollector collector;
-    obs::ObsSession session(nullptr, nullptr, &collector);
     const EmpiricalDistribution service(profile.service_time_samples);
     SimConfig sim;
     sim.arrival_rate_per_second = 0.01;
@@ -406,7 +405,7 @@ TEST(DeterminismTest, SpanAttributionByteIdenticalForAnyPoolSize) {
     sim.num_queries = 800;
     sim.warmup_queries = 80;
     sim.seed = 9;
-    sim.record_spans = true;
+    sim.span_sink = &collector;
     SimulateQueue(sim);
     return obs::FormatAttribution(
         obs::Attribute(collector.TakeSpans(), obs::AttributionOptions{}));
@@ -443,8 +442,9 @@ TEST(DeterminismTest, FaultStormSpanExportsByteIdentical) {
 
   auto run = [&] {
     obs::SpanCollector collector;
-    obs::ObsSession session(nullptr, nullptr, &collector);
-    Testbed::Run(config);
+    TestbedConfig sunk = config;
+    sunk.span_sink = &collector;
+    Testbed::Run(sunk);
     const std::vector<obs::QuerySpan> spans = collector.TakeSpans();
     size_t violations = 0;
     for (const obs::QuerySpan& span : spans) {
@@ -833,14 +833,15 @@ std::string EventEngineGoldenExport() {
   config.num_queries = 400;
   config.warmup_queries = 40;
   config.seed = 20260808;
-  config.record_spans = true;
 
   {
     obs::MetricsRegistry metrics;
     obs::SpanCollector spans;
-    obs::ObsSession session(&metrics, nullptr, &spans);
+    obs::ObsSession session(&metrics, nullptr);
+    SimConfig sunk = config;
+    sunk.span_sink = &spans;
     std::vector<SimQuery> trace;
-    const SimResult result = SimulateQueue(config, &trace);
+    const SimResult result = SimulateQueue(sunk, &trace);
 
     out += "== sim/result\n";
     AppendSimResult(&out, result);
@@ -860,13 +861,12 @@ std::string EventEngineGoldenExport() {
     SimConfig shed = config;
     shed.arrival_rate_per_second = 1.0 / 75.0;
     shed.slots = 1;
-    shed.record_spans = false;
-    shed.record_timeline = true;
     shed.admission.policy = robust::AdmissionPolicy::kDeadlineAware;
     shed.admission.deadline_slack = 1.0;
     obs::MetricsRegistry metrics;
     obs::SloPipeline pipeline(obs::ParseSloObjectives(kGoldenObjectives));
-    obs::ObsSession session(&metrics, nullptr, nullptr, &pipeline);
+    shed.slo_sink = &pipeline;
+    obs::ObsSession session(&metrics, nullptr);
     std::vector<SimQuery> trace;
     const SimResult result = SimulateQueue(shed, &trace);
 
@@ -911,9 +911,11 @@ std::string EventEngineGoldenExport() {
     recorder.SetMinSeverityAll(obs::Severity::kDebug);
     obs::SpanCollector spans;
     obs::SloPipeline pipeline(obs::ParseSloObjectives(kGoldenObjectives));
+    tb.span_sink = &spans;
+    tb.slo_sink = &pipeline;
     RunTrace trace;
     {
-      obs::ObsSession session(&metrics, &recorder, &spans, &pipeline);
+      obs::ObsSession session(&metrics, &recorder);
       trace = Testbed::Run(tb);
     }
 

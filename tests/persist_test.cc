@@ -530,7 +530,7 @@ obs::SloConfig FixtureSloConfig() {
   return config;
 }
 
-void FeedSloPipeline(obs::SloPipeline& slo, double from, double to) {
+void DriveSloPipeline(obs::SloPipeline& slo, double from, double to) {
   for (double t = from; t < to; t += 7.0) {
     slo.OnArrival(t);
     slo.OnResponse(t + 3.0, 40.0 + 30.0 * std::sin(t), true);
@@ -569,7 +569,7 @@ struct CheckpointFixture {
     // Every fixture checkpoint carries an SLO section so the corruption
     // harness downstream fuzzes its payload alongside the older sections.
     obs::SloPipeline slo(FixtureSloConfig());
-    FeedSloPipeline(slo, 0.0, 500.0);
+    DriveSloPipeline(slo, 0.0, 500.0);
     persist::SaveCheckpointToFile(path, profile, model, config, advisor,
                                   budget, drive, nullptr, nullptr, &slo);
     return ReadFileBytes(path);
@@ -719,7 +719,7 @@ TEST(CheckpointTest, SloSectionIsOptionalAndRoundTripsBitExactly) {
   // With one, the full pipeline state — sketches, open window, closed
   // ring, alert and anomaly state — restores bit-exactly.
   obs::SloPipeline slo(FixtureSloConfig());
-  FeedSloPipeline(slo, 0.0, 500.0);
+  DriveSloPipeline(slo, 0.0, 500.0);
   persist::SaveCheckpointToFile(path, fx.profile, fx.model, fx.config,
                                 fx.advisor, fx.budget, fx.drive, nullptr,
                                 nullptr, &slo);
@@ -737,21 +737,21 @@ TEST(CheckpointTest, ResumedSloPipelineReproducesTimelineByteForByte) {
   const std::string path = "/tmp/msprint_checkpoint_slo_resume.msp";
 
   obs::SloPipeline uninterrupted(FixtureSloConfig());
-  FeedSloPipeline(uninterrupted, 0.0, 1000.0);
+  DriveSloPipeline(uninterrupted, 0.0, 1000.0);
   uninterrupted.Finish(1000.0);
 
   obs::SloPipeline first_half(FixtureSloConfig());
-  FeedSloPipeline(first_half, 0.0, 473.0);  // cut mid-window
+  DriveSloPipeline(first_half, 0.0, 473.0);  // cut mid-window
   persist::SaveCheckpointToFile(path, fx.profile, fx.model, fx.config,
                                 fx.advisor, fx.budget, fx.drive, nullptr,
                                 nullptr, &first_half);
   persist::LoadedCheckpoint loaded = persist::LoadCheckpointFromFile(path);
   ASSERT_TRUE(loaded.slo.has_value());
-  // FeedSloPipeline steps t by 7 from 0, so the cut at 473 saw its last
+  // DriveSloPipeline steps t by 7 from 0, so the cut at 473 saw its last
   // event batch at t = 469; resuming from 476 continues the exact event
   // stream the uninterrupted pipeline consumed.
   obs::SloPipeline resumed = std::move(*loaded.slo);
-  FeedSloPipeline(resumed, 476.0, 1000.0);
+  DriveSloPipeline(resumed, 476.0, 1000.0);
   resumed.Finish(1000.0);
 
   EXPECT_EQ(resumed.FormatTimeline(), uninterrupted.FormatTimeline());

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <random>
 #include <string>
@@ -574,6 +575,109 @@ TEST(SloPipelineTest, RingDropsOldWindowsButCountsThem) {
             pipeline.windows_dropped() + pipeline.timeline().size());
 }
 
+// Multi-horizon burn config with three objectives over windows that are
+// sometimes empty (not evaluated), for the burn-count tests below.
+SloConfig BurnConfig(size_t timeline_capacity) {
+  SloConfig config;
+  config.window_seconds = 1.0;
+  config.timeline_capacity = timeline_capacity;
+  config.burn.fast_short_seconds = 2.0;
+  config.burn.fast_long_seconds = 4.5;  // ceil: 5 windows
+  config.burn.fast_threshold = 2.0;
+  config.burn.slow_short_seconds = 3.0;
+  config.burn.slow_long_seconds = 9.0;
+  config.burn.slow_threshold = 1.5;
+  config.objectives = {{SloSignal::kP99, SloOp::kLt, 1.0, 0.25},
+                       {SloSignal::kGoodputRatio, SloOp::kGt, 0.9, 0.3},
+                       {SloSignal::kQueueDepth, SloOp::kLt, 2.0, 0.5}};
+  return config;
+}
+
+void FeedBursty(SloPipeline& pipeline, int from, int to) {
+  for (int w = from; w < to; ++w) {
+    if (w % 11 == 5) continue;  // an empty window: nothing evaluated
+    const double base = w * 1.0;
+    const bool burst = (w / 13) % 2 == 1;
+    pipeline.OnArrival(base + 0.1);
+    pipeline.OnResponse(base + 0.4, burst ? 2.0 + 0.1 * (w % 3) : 0.5,
+                        w % 4 != 0);
+    if (w % 3 != 0) pipeline.OnQueueDepth(base + 0.5, (double)(w % 4));
+    if (burst && w % 2 == 0) pipeline.OnShed(base + 0.7);
+  }
+}
+
+// The running burn counts equal the definition: rescanning the newest
+// ceil(horizon / window) closed windows' masks and replaying the alert
+// state machine reproduces every window's alert bits and every fire.
+TEST(SloPipelineTest, BurnCountsMatchARescanOfTheRing) {
+  const SloConfig config = BurnConfig(4096);
+  SloPipeline pipeline(config);
+  FeedBursty(pipeline, 0, 200);
+  pipeline.Finish(200.0);
+  const std::deque<SloWindow>& ring = pipeline.timeline();
+  ASSERT_EQ(pipeline.windows_dropped(), 0u);
+
+  auto burn = [&](size_t last, size_t i, double horizon) {
+    const size_t h = std::max<size_t>(
+        1, static_cast<size_t>(std::ceil(horizon / config.window_seconds)));
+    uint64_t evaluated = 0;
+    uint64_t bad = 0;
+    for (size_t k = last + 1 > h ? last + 1 - h : 0; k <= last; ++k) {
+      if (ring[k].evaluated_mask & (1u << i)) {
+        ++evaluated;
+        bad += (ring[k].violation_mask >> i) & 1u;
+      }
+    }
+    return evaluated == 0 ? 0.0
+                          : static_cast<double>(bad) / evaluated /
+                                config.objectives[i].budget;
+  };
+  const SloBurnConfig& b = config.burn;
+  uint64_t fires = 0;
+  uint64_t alert_bits = 0;
+  for (size_t i = 0; i < config.objectives.size(); ++i) {
+    bool active = false;
+    for (size_t k = 0; k < ring.size(); ++k) {
+      const double fast = std::min(burn(k, i, b.fast_short_seconds),
+                                   burn(k, i, b.fast_long_seconds));
+      const double slow = std::min(burn(k, i, b.slow_short_seconds),
+                                   burn(k, i, b.slow_long_seconds));
+      const bool paging = fast > b.fast_threshold || slow > b.slow_threshold;
+      fires += paging && !active;
+      active = paging;
+      EXPECT_EQ((ring[k].alert_mask >> i) & 1u, active ? 1u : 0u)
+          << "objective " << i << " window " << k;
+      alert_bits += active;
+    }
+  }
+  EXPECT_EQ(pipeline.AlertsFired(), fires);
+  EXPECT_GT(fires, 3u);  // the feed must exercise the state machine
+  EXPECT_GT(alert_bits, 0u);
+}
+
+// RestoreState rebuilds the burn counts from the restored ring: a run cut
+// at any window, saved and resumed reproduces the uninterrupted exports,
+// including after the ring has started dropping windows.
+TEST(SloStateTest, ResumeAtAnyWindowRebuildsBurnCounts) {
+  const SloConfig config = BurnConfig(4);  // the ring keeps 10 windows
+  SloPipeline uninterrupted(config);
+  FeedBursty(uninterrupted, 0, 80);
+  uninterrupted.Finish(80.0);
+  ASSERT_GT(uninterrupted.windows_dropped(), 0u);
+  ASSERT_GT(uninterrupted.AlertsFired(), 0u);
+  for (int cut = 1; cut < 80; cut += 3) {
+    SloPipeline first(config);
+    FeedBursty(first, 0, cut);
+    SloPipeline resumed = SloPipeline::RestoreState(first.SaveState());
+    FeedBursty(resumed, cut, 80);
+    resumed.Finish(80.0);
+    EXPECT_EQ(resumed.FormatTimeline(), uninterrupted.FormatTimeline())
+        << "cut at window " << cut;
+    EXPECT_EQ(resumed.FormatSummary(), uninterrupted.FormatSummary())
+        << "cut at window " << cut;
+  }
+}
+
 TEST(SloPipelineTest, FinishPublishesMetrics) {
   MetricsRegistry metrics;
   ObsSession session(&metrics, nullptr);
@@ -798,7 +902,7 @@ TEST(SloIntegrationTest, TestbedFeedIsDeterministicAndComplete) {
   size_t responses = 0;
   for (int run = 0; run < 2; ++run) {
     SloPipeline pipeline(slo_config);
-    ObsSession session(nullptr, nullptr, nullptr, &pipeline);
+    config.slo_sink = &pipeline;
     const RunTrace trace = Testbed::Run(config);
     uint64_t windowed = 0;
     for (const SloWindow& w : pipeline.timeline()) windowed += w.responses;
@@ -817,11 +921,11 @@ TEST(SloIntegrationTest, TestbedFeedIsDeterministicAndComplete) {
   EXPECT_GT(responses, 100u);
 }
 
-// The simulator's feed is opt-in (record_timeline): without the flag an
-// attached pipeline sees nothing (pool workers replaying simulations must
-// not race the serial pipeline); with it, the serial event loop produces a
-// non-empty, byte-stable timeline at sim timestamps.
-TEST(SloIntegrationTest, SimFeedIsOptInAndDeterministic) {
+// The simulator feeds only the pipeline its config names: a null-sink run
+// leaves every pipeline untouched (pool workers replaying simulations
+// never race a serial pipeline), and a set sink gets a non-empty,
+// byte-stable timeline at sim timestamps covering every response.
+TEST(SloIntegrationTest, SimFeedsOnlyItsSinkDeterministically) {
   const ExponentialDistribution service(2.0);
   SimConfig config;
   config.service = &service;
@@ -834,28 +938,27 @@ TEST(SloIntegrationTest, SimFeedIsOptInAndDeterministic) {
   SloConfig slo_config;
   slo_config.window_seconds = 100.0;
 
-  {
-    SloPipeline pipeline(slo_config);
-    ObsSession session(nullptr, nullptr, nullptr, &pipeline);
-    SimulateQueue(config);
-    EXPECT_TRUE(pipeline.timeline().empty()) << "sim fed without opt-in";
-  }
-
-  config.record_timeline = true;
   std::string first;
   for (int run = 0; run < 2; ++run) {
     SloPipeline pipeline(slo_config);
-    ObsSession session(nullptr, nullptr, nullptr, &pipeline);
+    config.slo_sink = &pipeline;
     const SimResult result = SimulateQueue(config);
     uint64_t windowed = 0;
     for (const SloWindow& w : pipeline.timeline()) windowed += w.responses;
     EXPECT_EQ(windowed, result.response_times.size());
+    const std::string timeline = pipeline.FormatTimeline();
     if (run == 0) {
-      first = pipeline.FormatTimeline();
-      EXPECT_FALSE(first.empty());
+      first = timeline;
+      EXPECT_FALSE(pipeline.timeline().empty());
     } else {
-      EXPECT_EQ(pipeline.FormatTimeline(), first);
+      EXPECT_EQ(timeline, first);
     }
+
+    SimConfig unsunk = config;
+    unsunk.slo_sink = nullptr;
+    SimulateQueue(unsunk);
+    EXPECT_EQ(pipeline.FormatTimeline(), timeline)
+        << "a null-sink run fed the pipeline";
   }
 }
 

@@ -2,8 +2,8 @@
 // attribution invariant (signed components sum bit-for-bit to the measured
 // response time, asserted — never repaired — over seeded fault-storm
 // runs), the aggregation/report layer, the obs-diff regression comparator,
-// and the span recording rules (serial paths only, explicit opt-in for the
-// simulator, byte-identical output for any pool size).
+// and the span recording rules (serial paths only, spans only into the
+// run config's span_sink, byte-identical output for any pool size).
 
 #include <gtest/gtest.h>
 
@@ -166,9 +166,9 @@ TestbedConfig StormConfig(uint64_t seed) {
 // and the response time agrees with the testbed's own trace.
 TEST(SpanRecordingTest, FaultStormAttributionIsExactForEveryQuery) {
   for (uint64_t seed : {7u, 77u, 770u}) {
-    const TestbedConfig config = StormConfig(seed);
+    TestbedConfig config = StormConfig(seed);
     SpanCollector collector;
-    ObsSession session(nullptr, nullptr, &collector);
+    config.span_sink = &collector;
     const RunTrace trace = Testbed::Run(config);
     const std::vector<QuerySpan> spans = collector.TakeSpans();
     ASSERT_EQ(spans.size(), trace.queries.size()) << "seed " << seed;
@@ -197,23 +197,37 @@ TEST(SpanRecordingTest, TestbedRecordsNothingWithoutCollector) {
   EXPECT_EQ(collector.recorded(), 0u);
 }
 
-TEST(SpanRecordingTest, TwoArgObsSessionMasksSpans) {
-  // The metrics/recorder-only session must mask any outer span collector:
-  // spans only flow when explicitly requested.
-  SpanCollector outer;
-  ObsSession with_spans(nullptr, nullptr, &outer);
+// Spans flow only through the run's own span_sink: a run with a null sink
+// records nowhere, even under a live metrics/recorder session, and a set
+// sink receives exactly the post-warmup attempts, byte-stably.
+TEST(SpanRecordingTest, TestbedRecordsOnlyIntoItsSink) {
+  TestbedConfig config = StormConfig(7);
+  SpanCollector collector;
+  config.span_sink = &collector;
+  const RunTrace trace = Testbed::Run(config);
+  const std::vector<QuerySpan> first = collector.TakeSpans();
+  ASSERT_EQ(first.size(), trace.queries.size());
+  for (size_t i = 0; i < first.size(); ++i) {
+    ASSERT_TRUE(first[i].IdentityHolds()) << "query " << first[i].id;
+    EXPECT_EQ(first[i].id, trace.queries[i].id);
+  }
+
   {
     MetricsRegistry metrics;
     FlightRecorder recorder;
-    ObsSession masked(&metrics, &recorder);
-    EXPECT_EQ(ActiveSpans(), nullptr);
-    Testbed::Run(StormConfig(7));
+    ObsSession session(&metrics, &recorder);
+    TestbedConfig unsunk = config;
+    unsunk.span_sink = nullptr;
+    Testbed::Run(unsunk);
   }
-  EXPECT_EQ(outer.recorded(), 0u);
-  EXPECT_EQ(ActiveSpans(), &outer);
+  EXPECT_EQ(collector.recorded(), 0u) << "a null-sink run recorded spans";
+
+  Testbed::Run(config);
+  EXPECT_EQ(SpansToChromeTrace(collector.TakeSpans()),
+            SpansToChromeTrace(first));
 }
 
-TEST(SpanRecordingTest, SimulatorRequiresExplicitOptIn) {
+TEST(SpanRecordingTest, SimulatorRecordsOnlyIntoItsSink) {
   const ExponentialDistribution service(1.0 / 60.0);
   SimConfig config;
   config.arrival_rate_per_second = 0.01;
@@ -225,18 +239,25 @@ TEST(SpanRecordingTest, SimulatorRequiresExplicitOptIn) {
   config.seed = 3;
 
   SpanCollector collector;
-  ObsSession session(nullptr, nullptr, &collector);
-  SimulateQueue(config);
-  EXPECT_EQ(collector.recorded(), 0u) << "sim recorded without opt-in";
-
-  config.record_spans = true;
+  config.span_sink = &collector;
   const SimResult result = SimulateQueue(config);
   const std::vector<QuerySpan> spans = collector.TakeSpans();
   ASSERT_EQ(spans.size(), result.response_times.size());
-  for (const QuerySpan& span : spans) {
+  for (size_t i = 0; i < spans.size(); ++i) {
+    const QuerySpan& span = spans[i];
     ASSERT_TRUE(span.IdentityHolds()) << "query " << span.id;
+    EXPECT_EQ(span.id, config.warmup_queries + i);  // post-warmup, in order
     EXPECT_EQ(span.num_phases, 0u);  // the simulator models no phases
   }
+
+  SimConfig unsunk = config;
+  unsunk.span_sink = nullptr;
+  SimulateQueue(unsunk);
+  EXPECT_EQ(collector.recorded(), 0u) << "a null-sink run recorded spans";
+
+  SimulateQueue(config);
+  EXPECT_EQ(SpansToChromeTrace(collector.TakeSpans()),
+            SpansToChromeTrace(spans));
 }
 
 TEST(SpanCollectorTest, RecordAndBatchAppendInOrder) {
@@ -261,8 +282,9 @@ TEST(SpanCollectorTest, RecordAndBatchAppendInOrder) {
 
 std::vector<QuerySpan> StormSpans() {
   SpanCollector collector;
-  ObsSession session(nullptr, nullptr, &collector);
-  Testbed::Run(StormConfig(7));
+  TestbedConfig config = StormConfig(7);
+  config.span_sink = &collector;
+  Testbed::Run(config);
   return collector.TakeSpans();
 }
 

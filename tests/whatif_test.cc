@@ -180,28 +180,36 @@ TEST(WhatifDeterminismTest, ReportBytesIdenticalAcrossPoolSizes) {
   EXPECT_EQ(ja, jb);
 }
 
-// The committed storm scenario (bench/storms/default.storm) under the
-// hardened server: a 2x service-rate speedup must buy a large, stable
-// fraction of the mean response time. The range is generous on purpose —
-// it pins the causal direction and magnitude, not the exact value.
-TEST(WhatifStormTest, PinnedServiceRateGainOnCommittedStorm) {
+// The committed storm scenario (bench/storms/default.storm), cut to 800
+// queries to keep the tests fast; the shape survives.
+robust::StormConfig CommittedStorm() {
   const std::string path =
       std::string(MSPRINT_SOURCE_DIR) + "/bench/storms/default.storm";
   std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr) << path;
+  EXPECT_NE(f, nullptr) << path;
   std::string text;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    text.append(buf, n);
+  if (f != nullptr) {
+    char buf[4096];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+      text.append(buf, n);
+    }
+    std::fclose(f);
   }
-  std::fclose(f);
-
   robust::StormConfig storm = robust::ParseStormConfig(text);
-  storm.queries = 800;  // keep the test fast; the shape survives
+  storm.queries = 800;
+  return storm;
+}
+
+// The committed storm under the hardened server: a 2x service-rate
+// speedup must buy a large, stable fraction of the mean response time.
+// The range is generous on purpose — it pins the causal direction and
+// magnitude, not the exact value.
+TEST(WhatifStormTest, PinnedServiceRateGainOnCommittedStorm) {
   Scenario scenario;
   scenario.engine = Engine::kTestbed;
-  scenario.testbed = robust::MakeStormTestbedConfig(storm, /*hardened=*/true);
+  scenario.testbed =
+      robust::MakeStormTestbedConfig(CommittedStorm(), /*hardened=*/true);
 
   const Plan plan = PlanExperiments(scenario, {Knob::kServiceRate}, {1.0});
   const Report report = RunWhatif(scenario, plan);
@@ -214,7 +222,43 @@ TEST(WhatifStormTest, PinnedServiceRateGainOnCommittedStorm) {
   EXPECT_EQ(report.ranking[0].knob, Knob::kServiceRate);
 }
 
-TEST(WhatifSloTest, ObjectivesEvaluatedPostHocPerExperiment) {
+// Whatif's SLO columns come from the same live feed as `msprint slo`: on
+// the committed storm, the base run's alert fires, bad windows and
+// burn-through equal those of a pipeline attached to a plain run of the
+// same config, whatever the pool size.
+TEST(WhatifSloTest, BaseColumnsEqualTheLivePipeline) {
+  Scenario scenario;
+  scenario.engine = Engine::kTestbed;
+  scenario.testbed =
+      robust::MakeStormTestbedConfig(CommittedStorm(), /*hardened=*/true);
+  scenario.slo = obs::ParseSloObjectives(
+      "window 600\n"
+      "objective p99 < 400 budget 0.05\n"
+      "objective goodput_ratio > 0.8 budget 0.05\n"
+      "objective queue_depth < 20 budget 0.05\n");
+  scenario.evaluate_slo = true;
+
+  obs::SloPipeline live(scenario.slo);
+  TestbedConfig config = scenario.testbed;
+  config.slo_sink = &live;
+  Testbed::Run(config);
+  uint64_t bad_windows = 0;
+  for (const obs::SloObjectiveState& state : live.objective_states()) {
+    bad_windows += state.bad_windows;
+  }
+  ASSERT_GT(live.AlertsFired(), 0u);
+
+  const Plan plan = PlanExperiments(scenario, {Knob::kServiceRate}, {1.0});
+  for (size_t threads : {1u, 4u}) {
+    ThreadPool pool(threads);
+    const Report report = RunWhatif(scenario, plan, &pool);
+    EXPECT_EQ(report.base.slo_alerts_fired, live.AlertsFired());
+    EXPECT_EQ(report.base.slo_bad_windows, bad_windows);
+    EXPECT_EQ(report.base.slo_burned_through, live.BurnedThrough());
+  }
+}
+
+TEST(WhatifSloTest, ObjectivesEvaluatedPerExperiment) {
   Scenario scenario = SmallTestbedScenario();
   scenario.evaluate_slo = true;
   scenario.slo.window_seconds = 200.0;

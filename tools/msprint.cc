@@ -804,8 +804,7 @@ int CmdExplain(const Flags& flags) {
     SimConfig sim =
         BuildSimConfig(profile, input, service, speedup, sim_queries,
                        sim_queries / 10, flags.GetSize("seed", 1));
-    sim.record_spans = true;
-    obs::ObsSession session(nullptr, nullptr, &collector);
+    sim.span_sink = &collector;
     (void)SimulateQueue(sim);
     policy_comment =
         "# policy rung=" +
@@ -813,8 +812,8 @@ int CmdExplain(const Flags& flags) {
         " timeout=" + obs::StableDouble(input.timeout_seconds) +
         " speedup=" + obs::StableDouble(speedup) + "\n";
   } else {
-    const TestbedConfig config = TestbedConfigFromFlags(flags);
-    obs::ObsSession session(nullptr, nullptr, &collector);
+    TestbedConfig config = TestbedConfigFromFlags(flags);
+    config.span_sink = &collector;
     (void)Testbed::Run(config);
   }
 
@@ -956,13 +955,13 @@ int RunSloCommand(const Flags& flags, bool watch) {
   }
   slo_config.timeline_capacity =
       flags.GetSize("capacity", slo_config.timeline_capacity);
-  const TestbedConfig config = ScenarioFromFlags(flags);
-
   obs::SloPipeline pipeline(slo_config);
+  TestbedConfig config = ScenarioFromFlags(flags);
+  config.slo_sink = &pipeline;
   obs::MetricsRegistry metrics;
   obs::FlightRecorder recorder;
   {
-    obs::ObsSession session(&metrics, &recorder, nullptr, &pipeline);
+    obs::ObsSession session(&metrics, &recorder);
     (void)Testbed::Run(config);  // Run() finishes the attached pipeline.
   }
 
